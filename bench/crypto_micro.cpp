@@ -5,17 +5,14 @@
 // generation dominated by one or two exponentiations, verification with
 // e=65537 nearly free) are what drive the shapes of Table 1 and Figure 6
 // through the simulator's work accounting.
-// The *Seed benchmarks replicate the pre-fast-path operation sequences
-// (plain square-and-multiply per base, explicit modular inverses,
-// unmemoized hash-to-group arithmetic) so one binary reports both sides
-// of the before/after comparison in BENCH_crypto.json; the *Fast
-// benchmarks exercise the shipped simultaneous-multi-exp / comb-table
-// paths.  Every benchmark also reports the Montgomery work counter per
-// operation — the unit the simulator's virtual clock is driven by.
+// The *Fast benchmarks exercise the shipped simultaneous-multi-exp /
+// comb-table paths (their pre-fast-path counterparts are recorded in
+// BENCH_crypto.json and docs/CRYPTO.md).  Every benchmark also reports the
+// Montgomery work counter per operation — the unit the simulator's
+// virtual clock is driven by.
 #include <benchmark/benchmark.h>
 
 #include "bignum/montgomery.hpp"
-#include "bignum/ref32.hpp"
 #include "crypto/coin.hpp"
 #include "crypto/dealer.hpp"
 #include "crypto/group.hpp"
@@ -87,35 +84,6 @@ void BM_Modexp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Modexp)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
-
-// The frozen PR 1..7 32-bit limb layer (src/bignum/ref32.hpp), same inputs
-// as BM_Modexp.  Having both paths in one binary gives scripts/
-// bench_crypto.sh an honest same-machine wall-clock baseline for the
-// >=2x 64-bit-rework gate; ref32 does not touch the work counter, so no
-// work_per_op is reported.
-void BM_ModexpRef32(benchmark::State& state) {
-  const int bits = static_cast<int>(state.range(0));
-  Rng rng(1);
-  const BigInt m =
-      (BigInt{1} << bits) - BigInt{static_cast<std::int64_t>(129)};
-  const bignum::Montgomery mont(m);
-  const BigInt base = BigInt::random_below(rng, m);
-  const BigInt e = BigInt::random_bits(rng, bits);
-  namespace r32 = bignum::ref32;
-  const auto rm = r32::Ref32Int::from_bytes(m.to_bytes());
-  const auto rbase = r32::Ref32Int::from_bytes(base.to_bytes());
-  const auto re = r32::Ref32Int::from_bytes(e.to_bytes());
-  // Cross-check once so the baseline provably computes the same function.
-  if (r32::Ref32Int::from_bytes(mont.pow(base, e).to_bytes()) !=
-      rbase.mod_pow(re, rm)) {
-    state.SkipWithError("ref32 disagrees with live modexp");
-    return;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rbase.mod_pow(re, rm));
-  }
-}
-BENCHMARK(BM_ModexpRef32)->Arg(1024);
 
 void BM_RsaSignCrt(benchmark::State& state) {
   Fixture& fx =
@@ -246,7 +214,7 @@ void BM_Tdh2Combine(benchmark::State& state) {
 }
 BENCHMARK(BM_Tdh2Combine);
 
-// --- Before/after comparison: seed op sequences vs fast paths ------------
+// --- DLEQ fast paths -------------------------------------------------------
 
 struct DleqBench {
   crypto::DlogGroup grp;  // private copy: its precomputation cache is ours
@@ -255,7 +223,6 @@ struct DleqBench {
   BigInt gi;              // h2 = base^x, fresh per share
   crypto::DleqProof proof;
   BigInt c;               // the proof's recomputed Fiat–Shamir challenge
-  BigInt cofactor;        // (p-1)/q, the hash-to-group projection exponent
 
   DleqBench()
       : grp(fixture(1024, crypto::SigImpl::kMultiSig)
@@ -274,33 +241,12 @@ struct DleqBench {
     proof.a1.write(w);
     proof.a2.write(w);
     c = grp.hash_to_exponent(w.data());
-    cofactor = (grp.p() - BigInt{1}) / grp.q();
   }
 };
 
 DleqBench& dleq_bench() {
   static DleqBench b;
   return b;
-}
-
-// Seed-identical DLEQ verification: one plain exponentiation per base,
-// explicit modular inverses, unmemoized membership checks.
-bool seed_dleq_verify(const crypto::DlogGroup& grp, const BigInt& g1,
-                      const BigInt& h1, const BigInt& g2, const BigInt& h2,
-                      const crypto::DleqProof& pf) {
-  if (pf.z.is_negative() || pf.z >= grp.q()) return false;
-  if (!grp.is_member(h1) || !grp.is_member(h2)) return false;
-  Writer w;
-  g1.write(w);
-  h1.write(w);
-  g2.write(w);
-  h2.write(w);
-  pf.a1.write(w);
-  pf.a2.write(w);
-  const BigInt c = grp.hash_to_exponent(w.data());
-  const BigInt v1 = grp.mul(grp.exp(g1, pf.z), grp.inv(grp.exp(h1, c)));
-  const BigInt v2 = grp.mul(grp.exp(g2, pf.z), grp.inv(grp.exp(h2, c)));
-  return v1 == pf.a1 && v2 == pf.a2;
 }
 
 void BM_SingleExp(benchmark::State& state) {
@@ -326,17 +272,6 @@ void BM_SingleExpFixedBase(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleExpFixedBase);
 
-void BM_DualExpSeed(benchmark::State& state) {
-  DleqBench& b = dleq_bench();
-  WorkTracker wt(state);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        b.grp.mul(b.grp.exp(b.grp.g(), b.proof.z),
-                  b.grp.inv(b.grp.exp(b.vk, b.c))));
-  }
-}
-BENCHMARK(BM_DualExpSeed);
-
 void BM_DualExpFast(benchmark::State& state) {
   DleqBench& b = dleq_bench();
   benchmark::DoNotOptimize(
@@ -348,16 +283,6 @@ void BM_DualExpFast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DualExpFast);
-
-void BM_DleqVerifySeed(benchmark::State& state) {
-  DleqBench& b = dleq_bench();
-  WorkTracker wt(state);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        seed_dleq_verify(b.grp, b.grp.g(), b.vk, b.base, b.gi, b.proof));
-  }
-}
-BENCHMARK(BM_DleqVerifySeed);
 
 void BM_DleqVerifyFast(benchmark::State& state) {
   DleqBench& b = dleq_bench();
@@ -376,20 +301,6 @@ void BM_DleqVerifyFast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DleqVerifyFast);
-
-void BM_CoinShareVerifySeed(benchmark::State& state) {
-  // Seed coin-share verification = recompute H2G(name) from scratch (its
-  // arithmetic core is the cofactor exponentiation) + a plain DLEQ verify.
-  DleqBench& b = dleq_bench();
-  const bignum::Montgomery mont(b.grp.p());
-  WorkTracker wt(state);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mont.pow(b.base, b.cofactor));
-    benchmark::DoNotOptimize(
-        seed_dleq_verify(b.grp, b.grp.g(), b.vk, b.base, b.gi, b.proof));
-  }
-}
-BENCHMARK(BM_CoinShareVerifySeed);
 
 // --- Optimistic verification: eager per-share checks vs combine-first ----
 

@@ -10,7 +10,7 @@
 #include <cstdlib>
 
 #include "bench/common.hpp"
-#include "sim/trace.hpp"
+#include "obs/trace.hpp"
 
 using namespace sintra;
 using namespace sintra::bench;
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
 
   sim::Simulator sim(sim::internet_setup(), deal, 1);
   sim.per_message_cpu_ms = default_overhead_ms();
-  sim::MessageTrace trace;
+  obs::EventTrace trace;
   sim.trace = &trace;
 
   std::vector<std::unique_ptr<core::AtomicChannel>> chans;

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Runs the crypto-substrate microbenchmarks and distills them into
 # BENCH_crypto.json at the repo root: ns/op and Montgomery work units per
-# operation for every benchmark, plus the before/after speedup ratios for
-# the fast-exponentiation layer (seed op sequences vs shipped fast paths)
-# and the wall-clock before/after for the 64-bit limb rework (the frozen
-# 32-bit path, BM_ModexpRef32, runs in the same binary so the comparison
-# is same-machine, same-flags; docs/CRYPTO.md explains both gates).
+# operation for every benchmark, plus the work-unit speedup ratios of the
+# combine-first and fixed-base fast paths and the wall-clock before/after
+# for the 64-bit limb rework, measured against the recorded 32-bit
+# modexp figure in scripts/bench_baselines.json (docs/CRYPTO.md explains
+# both gates).
 #
 # Usage: scripts/bench_crypto.sh [build_dir]   (default: ./build)
 set -euo pipefail
@@ -56,7 +56,6 @@ def ratio(seed, fast):
 out = {
     "description": "Crypto microbenchmarks: wall-clock ns/op and Montgomery "
                    "work-counter units/op (the unit driving simulated time). "
-                   "*Seed benchmarks replicate pre-fast-path op sequences; "
                    "*Fast benchmarks use the shipped multi-exp/comb paths.",
     "context": {
         "date": raw.get("context", {}).get("date"),
@@ -65,10 +64,6 @@ out = {
     },
     "benchmarks": benchmarks,
     "speedups_work_units": {
-        "dleq_verify": ratio("BM_DleqVerifySeed", "BM_DleqVerifyFast"),
-        "coin_share_verify": ratio("BM_CoinShareVerifySeed",
-                                   "BM_CoinShareVerifyFast"),
-        "dual_exp": ratio("BM_DualExpSeed", "BM_DualExpFast"),
         "fixed_base_exp": ratio("BM_SingleExp", "BM_SingleExpFixedBase"),
         # Eager per-share verification vs the combine-first fast paths
         # (fault-free trace; the acceptance bar for both is >= 2x).
@@ -82,11 +77,10 @@ out = {
 }
 
 # --- 64-bit limb rework: wall-clock before/after (PR 8) ---
-# "Before" is measured live: BM_ModexpRef32 runs the frozen 32-bit limb
-# layer (src/bignum/ref32.hpp) in this same binary.  The PR 7 numbers
-# recorded in the pre-rework BENCH_crypto.json are kept alongside for
-# reference, but the gate uses the same-machine ref32 ratio so it does
-# not depend on which box ran the PR 7 bench.
+# "Before" is the 32-bit limb layer's 1024-bit modexp as recorded in
+# scripts/bench_baselines.json (that layer has been deleted).  The PR 7
+# numbers recorded in the pre-rework BENCH_crypto.json are kept alongside
+# for reference.
 PR7_RECORDED_NS = {"BM_Modexp/1024": 2066479.3,
                    "BM_Tdh2DecryptShare": 2465605.1}
 
@@ -95,25 +89,20 @@ def wall_ns(name):
     return b["ns_per_op"] if b else None
 
 # --- Recorded baselines (PR 9): scripts/bench_baselines.json holds the
-# PR 8 wall-clock figures.  When the file is present, (a) its recorded
-# BM_ModexpRef32/1024 stands in for the in-binary 32-bit layer once
-# src/bignum/ref32 is deleted, and (b) on a matching machine every live
-# figure must stay within regression_tolerance of its baseline.
-baselines = None
-if os.path.exists(baselines_path):
-    with open(baselines_path) as f:
-        baselines = json.load(f)
+# PR 8 wall-clock figures: the 32-bit modexp "before" figure for the gate
+# below, and on a matching machine every live figure must stay within
+# regression_tolerance of its baseline.
+with open(baselines_path) as f:
+    baselines = json.load(f)
 
-ref32_ns = wall_ns("BM_ModexpRef32/1024")
-if ref32_ns is None and baselines:
-    ref32_ns = baselines["wall_clock_ns"].get("BM_ModexpRef32/1024")
+before_ns = baselines["wall_clock_ns"]["BM_ModexpRef32/1024"]
 live_ns = wall_ns("BM_Modexp/1024")
 tdh2_ns = wall_ns("BM_Tdh2DecryptShare")
 out["limb_rework_wall_clock"] = {
-    "modexp_1024_before_ref32_ns": ref32_ns,
+    "modexp_1024_before_ns": before_ns,
     "modexp_1024_after_ns": live_ns,
-    "modexp_1024_speedup": (round(ref32_ns / live_ns, 2)
-                            if ref32_ns and live_ns else None),
+    "modexp_1024_speedup": (round(before_ns / live_ns, 2)
+                            if live_ns else None),
     "tdh2_decrypt_share_after_ns": tdh2_ns,
     "tdh2_decrypt_share_speedup_vs_pr7": (
         round(PR7_RECORDED_NS["BM_Tdh2DecryptShare"] / tdh2_ns, 2)
@@ -127,8 +116,6 @@ with open(out_path, "w") as f:
 
 sp = out["speedups_work_units"]
 print(f"wrote {out_path}")
-print(f"  dleq_verify speedup (work units):       {sp['dleq_verify']}x")
-print(f"  coin_share_verify speedup (work units): {sp['coin_share_verify']}x")
 print(f"  threshold_combine speedup (work units): {sp['threshold_combine']}x")
 print(f"  coin_assemble speedup (work units):     {sp['coin_assemble']}x")
 for key in ("threshold_combine", "coin_assemble"):
@@ -143,30 +130,29 @@ if wall is None or wall < 2.0:
              "1024-bit modexp is below the 2x acceptance bar")
 
 # --- Recorded-baseline regression gate ---
-if baselines:
-    rec = baselines.get("recorded", {})
-    same_machine = (rec.get("machine") == platform.machine()
-                    and rec.get("cores") == os.cpu_count())
-    tol = baselines.get("regression_tolerance", 1.5)
-    worst = []
-    for name, base_ns in baselines["wall_clock_ns"].items():
-        cur = wall_ns(name)
-        if cur is None:  # benchmark retired (e.g. ref32 deletion) — fine
-            continue
-        ratio = cur / base_ns
-        if ratio > tol:
-            worst.append(f"{name}: {cur:.0f}ns vs baseline {base_ns:.0f}ns "
-                         f"({ratio:.2f}x > {tol}x)")
-    if same_machine:
-        if worst:
-            sys.exit("FAIL: wall-clock regression vs "
-                     "scripts/bench_baselines.json:\n  " + "\n  ".join(worst))
-        print(f"  recorded-baseline gate: all tracked benchmarks within "
-              f"{tol}x of the PR {rec.get('pr')} figures")
-    else:
-        print("  recorded-baseline gate: skipped (different machine: "
-              f"{platform.machine()}/{os.cpu_count()} cores vs recorded "
-              f"{rec.get('machine')}/{rec.get('cores')})")
-        if worst:
-            print("  note (informational): " + "; ".join(worst))
+rec = baselines.get("recorded", {})
+same_machine = (rec.get("machine") == platform.machine()
+                and rec.get("cores") == os.cpu_count())
+tol = baselines.get("regression_tolerance", 1.5)
+worst = []
+for name, base_ns in baselines["wall_clock_ns"].items():
+    cur = wall_ns(name)
+    if cur is None:  # recorded only (the deleted 32-bit layer) — fine
+        continue
+    ratio = cur / base_ns
+    if ratio > tol:
+        worst.append(f"{name}: {cur:.0f}ns vs baseline {base_ns:.0f}ns "
+                     f"({ratio:.2f}x > {tol}x)")
+if same_machine:
+    if worst:
+        sys.exit("FAIL: wall-clock regression vs "
+                 "scripts/bench_baselines.json:\n  " + "\n  ".join(worst))
+    print(f"  recorded-baseline gate: all tracked benchmarks within "
+          f"{tol}x of the PR {rec.get('pr')} figures")
+else:
+    print("  recorded-baseline gate: skipped (different machine: "
+          f"{platform.machine()}/{os.cpu_count()} cores vs recorded "
+          f"{rec.get('machine')}/{rec.get('cores')})")
+    if worst:
+        print("  note (informational): " + "; ".join(worst))
 PY

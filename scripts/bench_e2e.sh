@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # End-to-end deliveries/sec benchmark for the throughput-mode channels
-# (DESIGN.md §11), distilled into BENCH_e2e.json at the repo root.
+# (DESIGN.md §11), distilled into BENCH_e2e.json (repo root by default).
 #
 # Scenarios (virtual time on the discrete-event simulator, so runs are
 # deterministic per seed and comparable across machines):
@@ -21,19 +21,22 @@
 # the chaos proxy with --bench-load (wall-clock deliveries/sec via
 # scripts/run_local_cluster.sh) and a 2000-client client_chaos run.
 #
-# Usage: scripts/bench_e2e.sh [--full] [build_dir]   (default: ./build)
+# Usage: scripts/bench_e2e.sh [--full] [build_dir [out_json]]
+#   build_dir defaults to ./build; out_json to BENCH_e2e.json at the repo
+#   root (the recorded trajectory).  ctest passes a path in the build dir.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 mode="${SINTRA_BENCH_E2E_MODE:-short}"
-build_dir=""
+positional=()
 for arg in "$@"; do
   case "$arg" in
     --full) mode="full" ;;
-    *) build_dir="$arg" ;;
+    *) positional+=("$arg") ;;
   esac
 done
-build_dir="${build_dir:-$repo_root/build}"
+build_dir="${positional[0]:-$repo_root/build}"
+out_json="${positional[1]:-$repo_root/BENCH_e2e.json}"
 
 if [[ ! -d "$build_dir" ]]; then
   cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release
@@ -98,7 +101,7 @@ if [[ "$mode" == "full" ]]; then
   echo "{\"label\":\"cluster-chaos-batched\",\"wall_s\":$(awk "BEGIN{printf \"%.3f\", $t1-$t0}"),\"deliveries\":1600}" >>"$raw"
 fi
 
-python3 - "$raw" "$repo_root/BENCH_e2e.json" <<'PY'
+python3 - "$raw" "$out_json" <<'PY'
 import json
 import sys
 

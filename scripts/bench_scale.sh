@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Group-size scaling benchmark, distilled into BENCH_scale.json at the
-# repo root (DESIGN.md §14; README "Scaling the group").
+# Group-size scaling benchmark, distilled into BENCH_scale.json (repo root
+# by default; DESIGN.md §14; README "Scaling the group").
 #
 # Three measurement families:
 #   scale-nN        bench/scale_sweep --sweep on the discrete-event
@@ -27,11 +27,15 @@
 # the cluster-n7 syscall reduction, which batching delivers regardless
 # of core count.  Both figures are always recorded.
 #
-# Usage: scripts/bench_scale.sh [build_dir]   (default: ./build)
+# Usage: scripts/bench_scale.sh [build_dir [out_json]]
+#   build_dir defaults to ./build; out_json to BENCH_scale.json at the
+#   repo root (the recorded trajectory).  ctest passes a path in the
+#   build dir.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
+out_json="${2:-$repo_root/BENCH_scale.json}"
 
 if [[ ! -d "$build_dir" ]]; then
   cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release
@@ -75,7 +79,7 @@ t1="$(date +%s.%N)"
 sendto_wall="$(awk "BEGIN{printf \"%.3f\", $t1-$t0}")"
 
 python3 - "$raw" "$mdir_mmsg" "$mdir_sendto" "$mmsg_wall" "$sendto_wall" \
-  "$repo_root/BENCH_scale.json" <<'PY'
+  "$out_json" <<'PY'
 import glob
 import json
 import os

@@ -12,7 +12,10 @@
 #      always have prose explaining what they measure;
 #   5. every public header under src/bignum opens with a file-level doc
 #      comment (the crypto substrate is the part of the tree where an
-#      undocumented invariant becomes a key-corrupting bug).
+#      undocumented invariant becomes a key-corrupting bug);
+#   6. every backticked src/, tests/, bench/, scripts/, examples/ or docs/
+#      path in README.md, DESIGN.md and docs/*.md exists, so prose cannot
+#      keep naming a deleted or renamed file.
 #
 # Grep-based on purpose: no build products needed, so it runs in any
 # checkout and catches drift at review time.
@@ -126,6 +129,48 @@ for hdr in src/bignum/*.hpp; do
     fail "$hdr has no file-level doc comment (first line must be // prose)"
   fi
 done
+
+# --- 6. backticked source paths exist --------------------------------------
+# Inline code spans only.  `a.{hpp,cpp}` expands to both files, globs must
+# match something, a `:line` suffix is ignored, and a binary name such as
+# `bench/crypto_micro` counts when bench/crypto_micro.cpp exists.
+if ! path_problems="$(python3 - README.md DESIGN.md docs/*.md <<'PY'
+import glob, os, re, sys
+
+path_re = re.compile(r"(?<![\w./-])(?:src|tests|bench|scripts|examples|docs)"
+                     r"/[\w./{},*+-]*")
+
+def expand(path):
+    m = re.search(r"\{([^{}]*)\}", path)
+    if not m:
+        return [path]
+    return [p for alt in m.group(1).split(",")
+            for p in expand(path[:m.start()] + alt + path[m.end():])]
+
+def exists(path):
+    if "*" in path:
+        return bool(glob.glob(path))
+    return os.path.exists(path) or os.path.exists(path + ".cpp")
+
+checked = 0
+for doc in sys.argv[1:]:
+    with open(doc) as f:
+        text = f.read()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        for raw in path_re.findall(span):
+            checked += 1
+            path = re.sub(r"(:\d+)+$", "", raw).rstrip(".,:")
+            if not all(exists(p) for p in expand(path)):
+                print(f"{doc} names missing path `{raw}`")
+if not checked:
+    print("found no backticked paths - check_docs.sh extraction drifted")
+PY
+)"; then
+  fail "backticked-path check did not run"
+fi
+while IFS= read -r problem; do
+  [ -n "$problem" ] && fail "$problem"
+done <<< "$path_problems"
 
 if [ "$failures" -ne 0 ]; then
   echo "check_docs.sh: $failures problem(s)" >&2

@@ -96,8 +96,11 @@ fi
 
 # A recover run must SIGKILL the last node strictly *mid-run* (after its first
 # durable delivery, before completion); more payloads widen that window.
+# Throughput mode orders up to batch-count payloads per proposer per
+# round with pipeline-depth rounds in flight, so it scales the default by
+# both to keep the window as many rounds wide as the unbatched run's.
 if [[ "$scenario" == recover && $send_count_set -eq 0 ]]; then
-  send_count=12
+  send_count=$(( 12 * ${batch_count:-1} * ${pipeline_depth:-1} ))
 fi
 
 # The client scenario only generates totally-ordered traffic via the

@@ -9,7 +9,7 @@
 // parameter generation live in prime.hpp.  Limb width is an internal
 // representation choice only — the wire format is big-endian bytes and is
 // bit-identical to the old 32-bit layer (docs/CRYPTO.md, DESIGN.md §13;
-// tests/test_bignum_diff.cpp enforces it against the frozen ref32 path).
+// tests/test_bignum_kat.cpp pins it with known answers from that layer).
 #pragma once
 
 #include <compare>

@@ -6,8 +6,7 @@
 // over 64-bit limbs: each outer iteration interleaves the multiply row and
 // the reduction row in ONE inner loop with two running carries and no
 // intermediate normalization, using `unsigned __int128` products
-// (docs/CRYPTO.md walks through the algorithm and its bounds; the 32-bit
-// predecessor is frozen in ref32.hpp for differential tests).
+// (docs/CRYPTO.md walks through the algorithm and its bounds).
 //
 // Beyond plain `pow`, the context offers the fast-path entry points that
 // the threshold-crypto stack is built on:

@@ -87,14 +87,16 @@ void ClientGateway::set_pending_gauge() {
 
 void ClientGateway::send_reply(std::uint32_t client_id, ClientState& cs,
                                const ReplyFrame& frame) {
-  if (!cs.addr_known || !reply_) return;
   Bytes dgram = encode_reply(frame, keys_.key(client_id));
   if (frame.status == Status::kOk) {
     // Cache the wire-ready bytes so a retransmitted request gets the
-    // same authoritative answer without re-execution.
+    // same authoritative answer without re-execution — also when this
+    // replica executed a request it never received directly and so
+    // cannot answer yet.
     cs.replies.emplace_back(frame.seq, dgram);
     while (cs.replies.size() > opts_.reply_cache) cs.replies.pop_front();
   }
+  if (!cs.addr_known || !reply_) return;
   if (mangle_) dgram = mangle_(std::move(dgram));
   reply_(cs.addr, std::move(dgram));
   replies_sent_.inc();

@@ -3,7 +3,7 @@
 //
 // The paper's §4.2 attributes wall-clock time to cryptography, protocol
 // overhead and network delay; the simulator can do that attribution
-// offline (sim/trace.hpp's predecessor), but the real-network path needs
+// offline (obs::EventTrace, obs/trace.hpp), but the real-network path needs
 // live, cheap introspection.  This registry is the single sink both
 // transports feed: instrumentation sites resolve a handle once (mutex +
 // map, at instance-construction time) and then update it with relaxed

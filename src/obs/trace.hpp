@@ -2,12 +2,10 @@
 // round starts and state transitions, coin releases, decisions and
 // deliveries.
 //
-// This supersedes and absorbs the simulator's MessageTrace (sim/trace.hpp
-// is now an alias header): the same trace type serves the simulator —
-// where experiments attach it per-run and aggregate offline, as the
-// paper's §4.2 does for "protocol overhead and network delays" — and the
-// real-network node, where `sintra_node --trace-out` streams events as
-// JSON lines.
+// One trace type serves the simulator — where experiments attach it
+// per-run (Simulator::trace) and aggregate offline, as the paper's §4.2
+// does for "protocol overhead and network delays" — and the real-network
+// node, where `sintra_node --trace-out` streams events as JSON lines.
 //
 // Cost discipline: instrumentation sites call obs::emit(), which is one
 // relaxed pointer load plus a branch when no sink is attached — no string
@@ -40,8 +38,6 @@ enum class EventType : std::uint8_t {
 const char* event_type_name(EventType type);
 
 struct Event {
-  // Field names/types are load-bearing: pre-obs code (tests, benches)
-  // consumed sim::TraceEntry{time_ms, from, to, pid, bytes} directly.
   double time_ms = 0;
   int from = -1;
   int to = -1;  // -1 = broadcast / not applicable
@@ -57,18 +53,6 @@ struct Event {
 class EventTrace {
  public:
   void record(Event e);
-
-  /// Back-compat with sim::MessageTrace::record — records a kSend.
-  void record(double time_ms, int from, int to, std::string pid,
-              std::size_t bytes) {
-    Event e;
-    e.time_ms = time_ms;
-    e.from = from;
-    e.to = to;
-    e.pid = std::move(pid);
-    e.bytes = bytes;
-    record(std::move(e));
-  }
 
   [[nodiscard]] const std::vector<Event>& entries() const { return entries_; }
 

@@ -122,12 +122,17 @@ void Simulator::transmit(int from, int to, Bytes frame, double depart_ms) {
   ++messages_sent_;
   bytes_sent_ += frame.size();
   if (trace != nullptr) {
+    obs::Event e;  // a kSend
+    e.time_ms = depart_ms;
+    e.from = from;
+    e.to = to;
+    e.bytes = frame.size();
     try {
-      trace->record(depart_ms, from, to, core::parse_frame_view(frame).pid,
-                    frame.size());
+      e.pid = core::parse_frame_view(frame).pid;
     } catch (const SerdeError&) {
-      trace->record(depart_ms, from, to, "<malformed>", frame.size());
+      e.pid = "<malformed>";
     }
+    trace->record(std::move(e));
   }
   Bytes wire =
       authenticate_links

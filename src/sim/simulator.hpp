@@ -20,8 +20,8 @@
 
 #include "core/dispatcher.hpp"
 #include "core/env.hpp"
+#include "obs/trace.hpp"
 #include "sim/datagram.hpp"
-#include "sim/trace.hpp"
 #include "sim/topologies.hpp"
 
 namespace sintra::sim {
@@ -129,9 +129,9 @@ class Simulator {
   /// Fault model applied to datagrams only.
   DatagramFaults datagram_faults;
 
-  /// Optional message trace: when set, every transmitted frame is
-  /// recorded with its protocol id (see sim/trace.hpp).
-  MessageTrace* trace = nullptr;
+  /// Optional event trace: when set, every transmitted frame is recorded
+  /// as a kSend event with its protocol id (see obs/trace.hpp).
+  obs::EventTrace* trace = nullptr;
 
   /// Optional adversarial scheduler: extra one-way delay for a message
   /// from->to departing at the given time.  Must be >= 0.

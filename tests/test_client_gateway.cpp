@@ -190,6 +190,34 @@ TEST(ClientGateway, AdmitExecuteReplyThenDedupReplay) {
   EXPECT_EQ(h.gw->executed_count(), 1u);
 }
 
+TEST(ClientGateway, RetransmitAfterPeerProposedExecutionGetsCachedOk) {
+  // The request reached replica A only; replica B executes it from A's
+  // proposal before it ever hears from the client, so it has no address
+  // to reply to.  The client's retransmit to B must still get kOk with
+  // the same global_seq from B's reply cache, not kStale.
+  GatewayHarness a;
+  GatewayHarness b;
+  const Bytes req = a.request(6, 1, "add 6");
+  a.gw->on_request_datagram(req, "addr6");
+  ASSERT_EQ(a.submitted.size(), 1u);
+  const Bytes proposal = a.submitted.front();
+  a.deliver_submitted();
+  const auto a_reply = a.last_reply(6, "addr6");
+  ASSERT_TRUE(a_reply.has_value());
+  ASSERT_EQ(a_reply->status, Status::kOk);
+
+  ASSERT_TRUE(b.gw->on_delivered(proposal).has_value());
+  EXPECT_TRUE(b.replies.empty());  // address unknown: nothing sent yet
+
+  b.gw->on_request_datagram(req, "addr6");
+  EXPECT_TRUE(b.submitted.empty());  // answered, not re-proposed
+  const auto b_reply = b.last_reply(6, "addr6");
+  ASSERT_TRUE(b_reply.has_value());
+  EXPECT_EQ(b_reply->status, Status::kOk);
+  EXPECT_EQ(b_reply->global_seq, a_reply->global_seq);
+  EXPECT_EQ(b.gw->executed_count(), 1u);
+}
+
 TEST(ClientGateway, StaleSeqAfterCacheEviction) {
   ClientGateway::Options opts;
   opts.reply_cache = 1;

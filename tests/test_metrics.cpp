@@ -1,6 +1,6 @@
 // Observability-layer tests: registry handle semantics, log-bucketed
 // histogram edges, snapshot JSON round-trips, concurrent updates, and the
-// typed event trace that superseded sim::MessageTrace.
+// typed event trace.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -184,9 +184,15 @@ TEST(LayerOf, CollapsesDigitRunsToStar) {
   EXPECT_EQ(layer_of(""), "");
 }
 
-TEST(EventTrace, CompatRecordIsASendAndByClassFiltersSends) {
+TEST(EventTrace, DefaultEventIsASendAndByClassFiltersSends) {
   EventTrace trace;
-  trace.record(1.0, 0, 1, "x.atomic.r1", 100);  // legacy signature
+  Event send;  // type left at its default
+  send.time_ms = 1.0;
+  send.from = 0;
+  send.to = 1;
+  send.pid = "x.atomic.r1";
+  send.bytes = 100;
+  trace.record(send);
   Event decide;
   decide.type = EventType::kDecide;
   decide.pid = "x.atomic.r1";

@@ -244,7 +244,7 @@ TEST(Simulator, PaperTopologiesWellFormed) {
 namespace sintra::sim {
 namespace {
 
-TEST(Simulator, MessageTraceRecordsPidsAndBytes) {
+TEST(Simulator, EventTraceRecordsPidsAndBytes) {
   crypto::DealerConfig cfg;
   cfg.n = 4;
   cfg.t = 1;
@@ -253,7 +253,7 @@ TEST(Simulator, MessageTraceRecordsPidsAndBytes) {
   cfg.dl_q_bits = 96;
   const auto deal = crypto::run_dealer(cfg);
   Simulator sim(uniform_setup(4), deal);
-  MessageTrace trace;
+  obs::EventTrace trace;
   sim.trace = &trace;
   sim.at(0.0, 0, [&] {
     sim.node(0).send_all(core::frame_message("traced.pid", to_bytes("xyz")));
@@ -261,6 +261,7 @@ TEST(Simulator, MessageTraceRecordsPidsAndBytes) {
   sim.run();
   ASSERT_EQ(trace.entries().size(), 4u);
   for (const auto& e : trace.entries()) {
+    EXPECT_EQ(e.type, obs::EventType::kSend);
     EXPECT_EQ(e.pid, "traced.pid");
     EXPECT_EQ(e.from, 0);
     EXPECT_GT(e.bytes, 3u);
