@@ -402,6 +402,16 @@ void AtomicChannel::on_batch_decided(int round, const Bytes& batch) {
               batch.size(), round);
     return;
   }
+  // Deliveries nest: a round this flush opens can decide at once from
+  // buffered traffic (the dispatcher replays it on registration), and the
+  // deliver callback may send().  The agreement of every round whose
+  // decide callback is on the stack must outlive it (deliver_round()).
+  struct Restore {
+    int& slot;
+    int saved;
+    ~Restore() { slot = saved; }
+  } restore{lowest_running_round_, lowest_running_round_};
+  lowest_running_round_ = std::min(lowest_running_round_, round);
   flush_decided();
 }
 
@@ -419,9 +429,8 @@ void AtomicChannel::deliver_round(int round) {
   const Bytes batch = std::move(*it->second.decided);
   const int iterations = it->second.iterations;
   const double start_ms = it->second.start_ms;
-  // The MVBA may still be executing (this is called from its decide
-  // callback) and stragglers may still feed it messages; keep it alive.
-  finished_mvbas_.push_back(std::move(it->second.mvba));
+  // The MVBA may still be executing: this runs from a decide callback.
+  finished_mvbas_.emplace(round, std::move(it->second.mvba));
   for (const MessageKey& key : it->second.own_keys) {
     inflight_keys_.erase(key);
   }
@@ -448,6 +457,15 @@ void AtomicChannel::deliver_round(int round) {
 
   round_ = round;
   next_deliver_round_ = round + 1;
+  // Free the agreements of rounds the cursor is now depth() rounds past,
+  // with their broadcasts and binary agreements, but none from the lowest
+  // round whose decide callback is still running.  Their pids stay
+  // retired in the dispatcher, so late messages are dropped; nothing they
+  // still owed a slower peer is lost (DESIGN.md §15).
+  finished_mvbas_.erase(
+      finished_mvbas_.begin(),
+      finished_mvbas_.lower_bound(
+          std::min(next_deliver_round_ - depth(), lowest_running_round_)));
 
   m_rounds_->inc();
   m_round_ms_->observe(env_.now_ms() - start_ms);

@@ -48,6 +48,7 @@
 
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -112,6 +113,14 @@ class AtomicChannel : public Protocol, public ChannelBase {
     return deliveries_;
   }
   [[nodiscard]] int rounds_completed() const { return round_; }
+
+  /// Delivered rounds whose agreement instance is still alive: at most
+  /// depth() after an ordinary delivery.  Rounds delivered by nested
+  /// calls while a lagging party catches up are kept until the next
+  /// delivery after it (see deliver_round()).
+  [[nodiscard]] std::size_t finished_agreements() const {
+    return finished_mvbas_.size();
+  }
 
   /// Caps the in-memory delivery log at roughly `limit` entries (the
   /// oldest half is dropped once 2×limit accumulate, so trimming is
@@ -220,7 +229,12 @@ class AtomicChannel : public Protocol, public ChannelBase {
   std::map<int, std::map<PartyId, SignedBundle>> signed_;
 
   std::map<int, RoundState> rounds_;  // the pipeline window
-  std::vector<std::unique_ptr<ArrayAgreement>> finished_mvbas_;
+  // Delivered rounds' agreements, by round, kept until the delivery
+  // cursor is depth() rounds past them.
+  std::map<int, std::unique_ptr<ArrayAgreement>> finished_mvbas_;
+  // Lowest round whose on_batch_decided() is on the stack (INT_MAX when
+  // none); its agreement and later ones are not freed until it returns.
+  int lowest_running_round_ = std::numeric_limits<int>::max();
 
   std::deque<Bytes> inbox_;
   std::vector<Delivery> deliveries_;

@@ -88,6 +88,19 @@ void count_parallel_verify(const char* op, std::size_t shares) {
       .inc(shares);
 }
 
+void count_verify_memo_hit(const char* op) {
+  // Same per-thread handle cache as op_counters: hits sit on the hot path.
+  thread_local std::map<const char*, obs::Counter*> cache;
+  auto it = cache.find(op);
+  if (it == cache.end()) {
+    it = cache
+             .emplace(op, &obs::registry().counter("crypto.verify_memo_hits",
+                                                   {{"op", op}}))
+             .first;
+  }
+  it->second->inc();
+}
+
 OpScope::OpScope(const char* op)
     : op_(op), start_(bignum::work_counter()) {}
 

@@ -61,6 +61,12 @@ void count_fallback(const char* op);
 /// --crypto-threads facing a Byzantine share submitter.
 void count_parallel_verify(const char* op, std::size_t shares);
 
+/// Increments obs::registry()'s "crypto.verify_memo_hits" counter labeled
+/// {op}: one RSA verification answered by the node's VerifyMemo
+/// (crypto/verify_memo.hpp) instead of an exponentiation.  `op` must be a
+/// string literal (the handle is cached per call site, like OpScope's).
+void count_verify_memo_hit(const char* op);
+
 /// RAII instrumentation for one threshold-crypto operation: on
 /// destruction it increments obs::registry()'s "crypto.ops" counter for
 /// `op` and adds the bignum work performed in the scope to "crypto.work".

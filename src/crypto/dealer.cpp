@@ -4,6 +4,8 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "crypto/cost.hpp"
+
 namespace sintra::crypto {
 
 namespace {
@@ -64,8 +66,9 @@ std::vector<RsaKeyPair> cached_party_rsa(int n, int bits, std::uint64_t seed) {
 
 bool PartyKeys::verify_party_sig(int j, BytesView msg, BytesView sig) const {
   if (j < 0 || j >= n) return false;
-  return rsa_verify(rsa_publics->keys[static_cast<std::size_t>(j)], msg, sig,
-                    hash);
+  const OpScope ops("party_sig.verify");
+  return rsa_publics->verifiers[static_cast<std::size_t>(j)].verify(
+      msg, sig, hash, "party_sig.verify");
 }
 
 Bytes PartyKeys::sign(BytesView msg) const {

@@ -8,6 +8,14 @@
 
 namespace sintra::crypto {
 
+MultiSigPublic::MultiSigPublic(int n, int k,
+                               const std::vector<RsaPublicKey>& keys,
+                               HashKind hash)
+    : n(n), k(k), hash(hash) {
+  verifiers.reserve(keys.size());
+  for (const RsaPublicKey& key : keys) verifiers.emplace_back(key);
+}
+
 MultiSigScheme::MultiSigScheme(std::shared_ptr<const MultiSigPublic> pub,
                                int index,
                                std::shared_ptr<const RsaKeyPair> own_key)
@@ -24,8 +32,8 @@ bool MultiSigScheme::verify_share(BytesView msg, int signer,
                                   BytesView share) const {
   if (signer < 0 || signer >= pub_->n) return false;
   const OpScope ops("multi_sig.verify_share");
-  return rsa_verify(pub_->keys[static_cast<std::size_t>(signer)], msg, share,
-                    pub_->hash);
+  return pub_->verifiers[static_cast<std::size_t>(signer)].verify(
+      msg, share, pub_->hash, "multi_sig.verify_share");
 }
 
 Bytes MultiSigScheme::combine(
@@ -50,6 +58,7 @@ Bytes MultiSigScheme::combine(
 }
 
 bool MultiSigScheme::verify(BytesView msg, BytesView sig) const {
+  const OpScope ops("multi_sig.verify");
   try {
     Reader r(sig);
     const std::uint32_t count = r.u32();
@@ -59,8 +68,9 @@ bool MultiSigScheme::verify(BytesView msg, BytesView sig) const {
       const int idx = static_cast<int>(r.u32());
       const Bytes s = r.bytes();
       if (idx < 0 || idx >= pub_->n || !seen.insert(idx).second) return false;
-      if (!rsa_verify(pub_->keys[static_cast<std::size_t>(idx)], msg, s,
-                      pub_->hash)) {
+      // One memo entry per component signature.
+      if (!pub_->verifiers[static_cast<std::size_t>(idx)].verify(
+              msg, s, pub_->hash, "multi_sig.verify")) {
         return false;
       }
     }

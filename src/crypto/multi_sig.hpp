@@ -18,9 +18,13 @@ namespace sintra::crypto {
 
 /// Public data: every party's standard signature verification key.
 struct MultiSigPublic {
+  MultiSigPublic(int n, int k, const std::vector<RsaPublicKey>& keys,
+                 HashKind hash);
+
   int n = 0;
   int k = 0;
-  std::vector<RsaPublicKey> keys;
+  /// verifiers[i] checks party i's signatures; built once per key.
+  std::vector<RsaVerifier> verifiers;
   HashKind hash = HashKind::kSha256;
 };
 

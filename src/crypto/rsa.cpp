@@ -2,7 +2,8 @@
 
 #include <stdexcept>
 
-#include "bignum/montgomery.hpp"
+#include "crypto/cost.hpp"
+#include "crypto/verify_memo.hpp"
 
 namespace sintra::crypto {
 
@@ -72,10 +73,47 @@ Bytes rsa_sign(const RsaKeyPair& key, BytesView msg, HashKind hash) {
 
 bool rsa_verify(const RsaPublicKey& key, BytesView msg, BytesView sig,
                 HashKind hash) {
-  if (sig.size() != key.modulus_bytes()) return false;
+  return RsaVerifier(key).verify_full(msg, sig, hash);
+}
+
+RsaVerifier::RsaVerifier(RsaPublicKey pub)
+    : pub_(std::move(pub)), mont_(pub_.n) {
+  Writer w;
+  pub_.write(w);  // length-prefixed n, then e
+  key_encoding_ = std::move(w).take();
+}
+
+bool RsaVerifier::verify_full(BytesView msg, BytesView sig,
+                              HashKind hash) const {
+  if (sig.size() != pub_.modulus_bytes()) return false;
   const BigInt s = BigInt::from_bytes(sig);
-  if (s >= key.n) return false;
-  return s.mod_pow(key.e, key.n) == rsa_fdh(msg, key.n, hash);
+  if (s >= pub_.n) return false;
+  return mont_.pow(s, pub_.e) == rsa_fdh(msg, pub_.n, hash);
+}
+
+bool RsaVerifier::verify(BytesView msg, BytesView sig, HashKind hash,
+                         const char* op) const {
+  VerifyMemo* memo = VerifyMemo::current();
+  if (memo == nullptr) return verify_full(msg, sig, hash);
+
+  // Memo key: SHA-256 over everything the result depends on, each field
+  // length-prefixed (the key encoding carries its own prefixes).
+  Writer w;
+  w.u8(hash == HashKind::kSha1 ? 1 : 2);
+  w.raw(key_encoding_);
+  w.bytes(msg);
+  w.bytes(sig);
+  const Bytes digest = Sha256::hash(w.data());
+  VerifyMemo::Digest key{};
+  std::copy(digest.begin(), digest.end(), key.begin());
+
+  if (memo->contains(key)) {
+    count_verify_memo_hit(op);
+    return true;
+  }
+  if (!verify_full(msg, sig, hash)) return false;  // never memoized
+  memo->insert(key);
+  return true;
 }
 
 }  // namespace sintra::crypto

@@ -11,6 +11,7 @@
 #pragma once
 
 #include "bignum/bigint.hpp"
+#include "bignum/montgomery.hpp"
 #include "bignum/prime.hpp"
 #include "crypto/sha256.hpp"
 #include "util/rng.hpp"
@@ -57,7 +58,39 @@ Bytes rsa_sign(const RsaKeyPair& key, BytesView msg,
                HashKind hash = HashKind::kSha256);
 
 /// Verifies sig^e == rsa_fdh(msg) mod n.  False on malformed input.
+/// Always does the full exponentiation (builds a Montgomery context per
+/// call and never consults a VerifyMemo): the raw cost of one verify.
+/// Same as RsaVerifier(key).verify_full(msg, sig, hash).
 bool rsa_verify(const RsaPublicKey& key, BytesView msg, BytesView sig,
                 HashKind hash = HashKind::kSha256);
+
+/// One RSA public key prepared for repeated verification: the Montgomery
+/// context for n is built once here instead of on every call, and the
+/// key's length-prefixed (n, e) encoding is kept for VerifyMemo digests.
+/// Immutable after construction, so one instance may serve any number of
+/// threads (the arithmetic scratch is thread-local).
+class RsaVerifier {
+ public:
+  /// n must be odd and > 1 (every RSA modulus is).
+  explicit RsaVerifier(RsaPublicKey pub);
+
+  /// Same result as rsa_verify(pub, msg, sig, hash).  A hit in the
+  /// calling thread's VerifyMemo (crypto/verify_memo.hpp) skips the
+  /// arithmetic and is counted as crypto.verify_memo_hits{op}; a full
+  /// verification that succeeds is recorded there.  `op` must be a string
+  /// literal.
+  [[nodiscard]] bool verify(BytesView msg, BytesView sig, HashKind hash,
+                            const char* op) const;
+
+  /// The check itself: sig^e == rsa_fdh(msg) mod n, false on malformed
+  /// input.  Never consults or fills a VerifyMemo.
+  [[nodiscard]] bool verify_full(BytesView msg, BytesView sig,
+                                 HashKind hash) const;
+
+ private:
+  RsaPublicKey pub_;
+  bignum::Montgomery mont_;
+  Bytes key_encoding_;  // length-prefixed n and e
+};
 
 }  // namespace sintra::crypto

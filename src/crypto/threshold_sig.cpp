@@ -231,6 +231,7 @@ RsaThresholdScheme::RsaThresholdScheme(
     std::shared_ptr<const RsaThresholdPublic> pub, int index, BigInt share,
     std::uint64_t prover_seed)
     : pub_(std::move(pub)),
+      verifier_(RsaPublicKey{pub_->modulus, pub_->e}),
       index_(index),
       share_(std::move(share)),
       prover_rng_(prover_seed),
@@ -373,8 +374,8 @@ Bytes RsaThresholdScheme::combine(
 }
 
 bool RsaThresholdScheme::verify(BytesView msg, BytesView sig) const {
-  const RsaPublicKey key{pub_->modulus, pub_->e};
-  return rsa_verify(key, msg, sig, pub_->hash);
+  const OpScope ops("threshold_sig.verify");
+  return verifier_.verify(msg, sig, pub_->hash, "threshold_sig.verify");
 }
 
 std::unique_ptr<RsaThresholdScheme> RsaThresholdDeal::make_party(int i) const {

@@ -139,6 +139,7 @@ class RsaThresholdScheme final : public ThresholdSigScheme {
   struct FastPath;
 
   std::shared_ptr<const RsaThresholdPublic> pub_;
+  RsaVerifier verifier_;  // the assembled signature is plain RSA-FDH
   int index_;
   BigInt share_;
   Rng prover_rng_;

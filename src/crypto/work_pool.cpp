@@ -5,6 +5,8 @@
 #include <memory>
 #include <utility>
 
+#include "crypto/verify_memo.hpp"
+
 namespace sintra::crypto {
 
 WorkPool::WorkPool(std::size_t threads)
@@ -40,7 +42,8 @@ void WorkPool::submit(std::function<void()> work,
   }
   {
     const std::lock_guard lk(mu_);
-    queue_.push_back({std::move(work), std::move(complete), now_ms()});
+    queue_.push_back({std::move(work), std::move(complete), now_ms(),
+                      VerifyMemo::current()});
     m_depth_->set(static_cast<double>(queue_.size()));
   }
   cv_.notify_one();
@@ -57,9 +60,12 @@ void WorkPool::worker(const std::stop_token& st) {
       m_depth_->set(static_cast<double>(queue_.size()));
     }
     m_wait_ms_->observe(now_ms() - job.enqueue_ms);
-    job.work();
+    {
+      const VerifyMemo::Scope memo(job.memo);
+      job.work();
+    }
     // Helper jobs from run_parallel() have no completion to deliver.
-    if (job.complete) finish(std::move(job.complete));
+    if (job.complete) finish({std::move(job.complete), job.memo});
   }
 }
 
@@ -98,7 +104,7 @@ void WorkPool::run_parallel(std::vector<std::function<void()>>& jobs) {
   {
     const std::lock_guard lk(mu_);
     for (std::size_t i = 0; i < helpers; ++i) {
-      queue_.push_back({claim, nullptr, now_ms()});
+      queue_.push_back({claim, nullptr, now_ms(), VerifyMemo::current()});
     }
     m_depth_->set(static_cast<double>(queue_.size()));
   }
@@ -109,7 +115,7 @@ void WorkPool::run_parallel(std::vector<std::function<void()>>& jobs) {
                  [&batch] { return batch->done.load() >= batch->total; });
 }
 
-void WorkPool::finish(std::function<void()> complete) {
+void WorkPool::finish(Completion complete) {
   std::function<void()> notify;
   {
     const std::lock_guard lk(done_mu_);
@@ -120,12 +126,15 @@ void WorkPool::finish(std::function<void()> complete) {
 }
 
 std::size_t WorkPool::drain_completions() {
-  std::vector<std::function<void()>> batch;
+  std::vector<Completion> batch;
   {
     const std::lock_guard lk(done_mu_);
     batch.swap(done_);
   }
-  for (const std::function<void()>& fn : batch) fn();
+  for (const Completion& c : batch) {
+    const VerifyMemo::Scope memo(c.memo);
+    c.fn();
+  }
   return batch.size();
 }
 

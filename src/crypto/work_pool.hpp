@@ -29,6 +29,8 @@
 
 namespace sintra::crypto {
 
+class VerifyMemo;
+
 class WorkPool {
  public:
   /// Spawns `threads` workers; 0 = inline mode (no threads at all).
@@ -50,7 +52,10 @@ class WorkPool {
   /// submitting protocol instance is gone, so it must capture shared
   /// ownership (scheme handles are shared_ptr) and values, never raw
   /// pointers into protocol state — touch protocol state only from
-  /// `complete`, which the owner thread runs.
+  /// `complete`, which the owner thread runs.  Both closures run under
+  /// the VerifyMemo installed on the submitting thread (crypto/
+  /// verify_memo.hpp), so offloaded verifications share the node's memo;
+  /// that memo must outlive the pool.
   void submit(std::function<void()> work, std::function<void()> complete);
 
   /// Runs every job in `jobs` to completion before returning, with the
@@ -62,7 +67,8 @@ class WorkPool {
   /// worker) with no deadlock.  Inline mode runs the jobs sequentially in
   /// vector order on the caller, which is the simulator's deterministic
   /// path.  Jobs must be independent and must not throw; they communicate
-  /// results through captured slots.
+  /// results through captured slots.  Helpers run under the caller's
+  /// VerifyMemo, like submit().
   void run_parallel(std::vector<std::function<void()>>& jobs);
 
   /// Runs every queued completion on the calling thread (the owner).
@@ -81,18 +87,24 @@ class WorkPool {
     std::function<void()> work;
     std::function<void()> complete;
     double enqueue_ms;
+    // The submitter's memo, reinstalled around both closures.
+    VerifyMemo* memo = nullptr;
+  };
+  struct Completion {
+    std::function<void()> fn;
+    VerifyMemo* memo = nullptr;
   };
 
   void worker(const std::stop_token& st);
   static double now_ms();
-  void finish(std::function<void()> complete);
+  void finish(Completion complete);
 
   std::mutex mu_;
   std::condition_variable_any cv_;
   std::deque<Job> queue_;
 
   std::mutex done_mu_;
-  std::vector<std::function<void()>> done_;
+  std::vector<Completion> done_;
   std::function<void()> notify_;
 
   // Resolved once; updates are relaxed atomics (see obs/metrics.hpp).

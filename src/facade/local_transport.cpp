@@ -48,6 +48,9 @@ void LocalNode::enqueue(Task task) {
 }
 
 void LocalNode::run_loop() {
+  // The thread belongs to this party: everything it runs verifies under
+  // the party's memo.
+  const crypto::VerifyMemo::Scope memo(&verify_memo_);
   for (;;) {
     Task task{std::function<void()>{}};
     {
@@ -110,10 +113,10 @@ void LocalGroup::post_sync(int i, std::function<void()> fn) {
   bool done = false;
   post(i, [&] {
     fn();
-    {
-      const std::lock_guard<std::mutex> lock(m);
-      done = true;
-    }
+    // Notify under the lock: the waiter cannot return (and destroy m and
+    // cv, which live on its stack) until this closure has released it.
+    const std::lock_guard<std::mutex> lock(m);
+    done = true;
     cv.notify_one();
   });
   std::unique_lock<std::mutex> lock(m);

@@ -19,6 +19,7 @@
 
 #include "core/dispatcher.hpp"
 #include "core/env.hpp"
+#include "crypto/verify_memo.hpp"
 
 namespace sintra::facade {
 
@@ -42,6 +43,10 @@ class LocalNode final : public core::Environment {
 
   [[nodiscard]] core::Dispatcher& dispatcher() { return dispatcher_; }
 
+  /// This party's memo of successful signature verifications, installed
+  /// on its worker thread.
+  [[nodiscard]] crypto::VerifyMemo& verify_memo() { return verify_memo_; }
+
  private:
   friend class LocalGroup;
 
@@ -58,6 +63,7 @@ class LocalNode final : public core::Environment {
   int id_;
   crypto::PartyKeys keys_;
   core::Dispatcher dispatcher_;
+  crypto::VerifyMemo verify_memo_;
   Rng rng_;
 
   std::mutex mutex_;

@@ -173,9 +173,8 @@ void NetEnvironment::wire_links(const std::vector<core::Endpoint>& endpoints) {
     auto link = std::make_unique<core::SlidingWindowLink>(
         *channel, keys_.index, peer,
         keys_.link_keys[static_cast<std::size_t>(peer)], link_options);
-    link->set_deliver_callback([this, peer](Bytes wire) {
-      dispatcher_.on_message(peer, std::move(wire));
-    });
+    link->set_deliver_callback(
+        [this, peer](const Bytes& wire) { dispatch(peer, wire); });
     channels_.emplace(peer, std::move(channel));
     links_.emplace(peer, std::move(link));
   }
@@ -215,12 +214,17 @@ void NetEnvironment::send(core::PartyId to, Bytes wire) {
   if (to == keys_.index) {
     // Self-delivery stays asynchronous (no reentrancy into protocol
     // handlers), via a zero-delay loop timer.
-    loop_.call_later(0.0, [this, wire = std::move(wire)]() mutable {
-      dispatcher_.on_message(keys_.index, std::move(wire));
+    loop_.call_later(0.0, [this, wire = std::move(wire)] {
+      dispatch(keys_.index, wire);
     });
     return;
   }
   links_.at(to)->send(std::move(wire));
+}
+
+void NetEnvironment::dispatch(core::PartyId from, BytesView wire) {
+  const crypto::VerifyMemo::Scope memo(&verify_memo_);
+  dispatcher_.on_message(from, wire);
 }
 
 void NetEnvironment::trace_send(core::PartyId to, BytesView wire) {
@@ -244,9 +248,8 @@ void NetEnvironment::send_all(Bytes wire) {
     m_bytes_sent_->inc(shared->size());
     trace_send(j, *shared);
     if (j == keys_.index) {
-      loop_.call_later(0.0, [this, shared] {
-        dispatcher_.on_message(keys_.index, *shared);
-      });
+      loop_.call_later(0.0,
+                       [this, shared] { dispatch(keys_.index, *shared); });
       continue;
     }
     links_.at(j)->send(shared);

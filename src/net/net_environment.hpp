@@ -24,6 +24,7 @@
 #include "core/dispatcher.hpp"
 #include "core/env.hpp"
 #include "core/link/sliding_window.hpp"
+#include "crypto/verify_memo.hpp"
 #include "net/event_loop.hpp"
 #include "net/udp.hpp"
 #include "obs/metrics.hpp"
@@ -168,6 +169,9 @@ class NetEnvironment final : public core::Environment {
   [[nodiscard]] crypto::WorkPool& crypto_pool() override { return *pool_; }
 
   [[nodiscard]] core::Dispatcher& dispatcher() { return dispatcher_; }
+  /// This party's memo of successful signature verifications, installed
+  /// around every frame it dispatches (and carried into crypto-pool jobs).
+  [[nodiscard]] crypto::VerifyMemo& verify_memo() { return verify_memo_; }
   [[nodiscard]] EventLoop& loop() { return loop_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const core::SlidingWindowLink::Stats& link_stats(
@@ -198,6 +202,9 @@ class NetEnvironment final : public core::Environment {
   /// recvmmsg pool path and the legacy recvfrom path end up here; the
   /// view may point into the reusable pool, so links must not keep it).
   void process_datagram(BytesView datagram);
+  /// Routes one frame to the dispatcher under this party's memo (several
+  /// environments may share one loop thread).
+  void dispatch(core::PartyId from, BytesView wire);
   void trace_send(core::PartyId to, BytesView wire);
 
   EventLoop& loop_;
@@ -206,6 +213,7 @@ class NetEnvironment final : public core::Environment {
   NetOptions options_;
   Rng rng_;
   core::Dispatcher dispatcher_;
+  crypto::VerifyMemo verify_memo_;  // outlives pool_ (declared earlier)
   Stats stats_;
 
   std::map<int, std::unique_ptr<UdpDatagramChannel>> channels_;

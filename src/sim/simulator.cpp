@@ -102,7 +102,10 @@ void Simulator::run_in_node(Node& node, double ready_ms,
   node.in_handler_ = true;
   node.handler_start_ms_ = start;
   const crypto::WorkMeter meter;
-  fn();
+  {
+    const crypto::VerifyMemo::Scope memo(&node.verify_memo_);
+    fn();
+  }
   const double cpu_ms =
       crypto::work_to_ms(meter.elapsed(),
                          topology_.hosts[static_cast<std::size_t>(node.id_)].exp_ms) +

@@ -20,6 +20,7 @@
 
 #include "core/dispatcher.hpp"
 #include "core/env.hpp"
+#include "crypto/verify_memo.hpp"
 #include "obs/trace.hpp"
 #include "sim/datagram.hpp"
 #include "sim/topologies.hpp"
@@ -51,6 +52,10 @@ class Node final : public core::Environment {
 
   [[nodiscard]] core::Dispatcher& dispatcher() { return dispatcher_; }
 
+  /// This incarnation's memo of successful signature verifications,
+  /// installed around every handler the simulator runs for the node.
+  [[nodiscard]] crypto::VerifyMemo& verify_memo() { return verify_memo_; }
+
   /// Crash-stop: the node neither processes nor sends anything afterwards.
   void crash() { crashed_ = true; }
   [[nodiscard]] bool crashed() const { return crashed_; }
@@ -62,6 +67,7 @@ class Node final : public core::Environment {
   int id_;
   crypto::PartyKeys keys_;
   core::Dispatcher dispatcher_;
+  crypto::VerifyMemo verify_memo_;
   Rng rng_;
   double cpu_free_at_ms_ = 0.0;
   bool crashed_ = false;
@@ -103,8 +109,8 @@ class Simulator {
   bool run_until(const std::function<bool()>& pred, double deadline_ms);
 
   /// Crash recovery (DESIGN.md §10): replaces party `i` with a fresh
-  /// incarnation holding the same dealer keys but reset protocol state
-  /// and a boot-salted rng — the deterministic analogue of SIGKILL plus
+  /// incarnation holding the same dealer keys but reset protocol state,
+  /// an empty verification memo and a boot-salted rng — the deterministic analogue of SIGKILL plus
   /// process restart.  The caller must have dropped every protocol bound
   /// to the old incarnation first (they hold references into it); events
   /// already queued for party `i` run against the new node, exactly like

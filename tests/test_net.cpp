@@ -134,6 +134,9 @@ TEST(NetEnvironment, AtomicChannelTotalOrderAcrossRealSockets) {
   for (int i = 1; i < 4; ++i) {
     EXPECT_EQ(delivered[static_cast<std::size_t>(i)], delivered[0]);
   }
+  // The four parties share one loop thread, yet each verified under its
+  // own memo.
+  for (const auto& env : c.envs) EXPECT_GT(env->verify_memo().size(), 0u);
 }
 
 TEST(NetEnvironment, JunkDatagramsAccountedAndSurvived) {

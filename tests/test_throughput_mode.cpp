@@ -263,10 +263,13 @@ TEST(ThroughputMode, DeliveryLogLimitBoundsRetention) {
       chans[1]->send(to_bytes("cap" + std::to_string(m)));
     });
   }
+  // Party 0's own log is capped, so wait for it through rounds: once it
+  // has completed every round party 1 needed, it holds the same prefix.
   ASSERT_TRUE(c.sim.run_until(
       [&] {
         return chans[1]->deliveries().size() >=
-               static_cast<std::size_t>(kMessages);
+                   static_cast<std::size_t>(kMessages) &&
+               chans[0]->rounds_completed() >= chans[1]->rounds_completed();
       },
       4e6));
   // Capped log stays under 2x the limit and keeps the most recent tail;
