@@ -16,6 +16,10 @@
 #include "crypto/coin.hpp"
 #include "crypto/dealer.hpp"
 #include "crypto/group.hpp"
+#include "crypto/hmac.hpp"
+#include "crypto/sha1.hpp"
+#include "crypto/sha256.hpp"
+#include "crypto/sha_kernels.hpp"
 #include "crypto/tdh2.hpp"
 
 namespace {
@@ -442,6 +446,71 @@ void BM_CoinShareVerifyFast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoinShareVerifyFast);
+
+// --- Hashes: each compression kernel through the whole hash ---
+// range(0) is the message size; range(1) picks the kernel: 0 = portable,
+// 1 = dispatched (what Sha1/Sha256 run on this CPU).  The label names the
+// kernel that ran, so BENCH_crypto.json records it.
+
+class KernelChoice {
+ public:
+  using Kernel = crypto::sha_kernels::Kernel;
+
+  KernelChoice(benchmark::State& state, Kernel portable, Kernel accelerated,
+               Kernel (*exchange)(Kernel))
+      : state_(state), exchange_(exchange) {
+    const bool dispatched = state.range(1) != 0;
+    const bool use_accelerated = dispatched && accelerated != nullptr;
+    saved_ = exchange_(use_accelerated ? accelerated : portable);
+    state.SetLabel(use_accelerated ? "sha_ni" : "portable");
+  }
+  ~KernelChoice() {
+    exchange_(saved_);
+    state_.SetBytesProcessed(state_.range(0) * state_.iterations());
+  }
+  KernelChoice(const KernelChoice&) = delete;
+  KernelChoice& operator=(const KernelChoice&) = delete;
+
+ private:
+  benchmark::State& state_;
+  Kernel (*exchange_)(Kernel);
+  Kernel saved_;
+};
+
+void BM_Sha1(benchmark::State& state) {
+  const KernelChoice choice(state, &crypto::sha_kernels::sha1_portable,
+                            crypto::sha_kernels::sha1_accelerated(),
+                            &crypto::sha_kernels::exchange_sha1_kernel);
+  const Bytes msg(static_cast<std::size_t>(state.range(0)), 0x5a);
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::Sha1::hash(msg));
+}
+BENCHMARK(BM_Sha1)
+    ->ArgNames({"bytes", "dispatched"})
+    ->ArgsProduct({{64, 1024}, {0, 1}});
+
+void BM_Sha256(benchmark::State& state) {
+  const KernelChoice choice(state, &crypto::sha_kernels::sha256_portable,
+                            crypto::sha_kernels::sha256_accelerated(),
+                            &crypto::sha_kernels::exchange_sha256_kernel);
+  const Bytes msg(static_cast<std::size_t>(state.range(0)), 0x5a);
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::Sha256::hash(msg));
+}
+BENCHMARK(BM_Sha256)
+    ->ArgNames({"bytes", "dispatched"})
+    ->ArgsProduct({{64, 1024}, {0, 1}});
+
+// The link layer's per-frame tag (paper §3: HMAC-SHA1, 128-bit key).
+void BM_HmacSha1(benchmark::State& state) {
+  const KernelChoice choice(state, &crypto::sha_kernels::sha1_portable,
+                            crypto::sha_kernels::sha1_accelerated(),
+                            &crypto::sha_kernels::exchange_sha1_kernel);
+  const Bytes key(16, 0x0b);
+  const Bytes msg(static_cast<std::size_t>(state.range(0)), 0x5a);
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::hmac_sha1(key, msg));
+}
+BENCHMARK(BM_HmacSha1)
+    ->ArgNames({"bytes", "dispatched"})
+    ->ArgsProduct({{1024}, {0, 1}});
 
 }  // namespace
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the crypto-substrate microbenchmarks and distills them into
 # BENCH_crypto.json at the repo root: ns/op and Montgomery work units per
-# operation for every benchmark, plus the work-unit speedup ratios of the
+# operation for every benchmark (the hash rows also record their kernel
+# and MB/s), plus the work-unit speedup ratios of the
 # combine-first and fixed-base fast paths and the wall-clock before/after
 # for the 64-bit limb rework, measured against the recorded 32-bit
 # modexp figure in scripts/bench_baselines.json (docs/CRYPTO.md explains
@@ -46,6 +47,12 @@ for b in raw.get("benchmarks", []):
         "ns_per_op": round(b["real_time"], 1),
         "work_units_per_op": round(b.get("work_per_op", 0.0)),
     }
+    # The hash rows name the compression kernel that ran (portable or
+    # sha_ni) and their throughput.
+    if b.get("label"):
+        benchmarks[b["name"]]["kernel"] = b["label"]
+    if "bytes_per_second" in b:
+        benchmarks[b["name"]]["mb_per_s"] = round(b["bytes_per_second"] / 1e6)
 
 def ratio(seed, fast):
     s, f = benchmarks.get(seed), benchmarks.get(fast)
@@ -56,7 +63,10 @@ def ratio(seed, fast):
 out = {
     "description": "Crypto microbenchmarks: wall-clock ns/op and Montgomery "
                    "work-counter units/op (the unit driving simulated time). "
-                   "*Fast benchmarks use the shipped multi-exp/comb paths.",
+                   "*Fast benchmarks use the shipped multi-exp/comb paths; "
+                   "BM_Sha1/BM_Sha256/BM_HmacSha1 run the portable "
+                   "(dispatched:0) or the dispatched (dispatched:1) "
+                   "compression kernel, named in 'kernel'.",
     "context": {
         "date": raw.get("context", {}).get("date"),
         "build_type": raw.get("context", {}).get("library_build_type"),

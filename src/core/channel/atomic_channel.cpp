@@ -65,8 +65,10 @@ Bytes AtomicChannel::sign_statement(
   return std::move(w).take();
 }
 
+std::string AtomicChannel::round_prefix() const { return pid() + ".r"; }
+
 std::string AtomicChannel::mvba_pid(int round) const {
-  return pid() + ".r" + std::to_string(round);
+  return round_prefix() + std::to_string(round);
 }
 
 void AtomicChannel::write_bundle(Writer& w, const SignedBundle& b) {
@@ -459,13 +461,15 @@ void AtomicChannel::deliver_round(int round) {
   next_deliver_round_ = round + 1;
   // Free the agreements of rounds the cursor is now depth() rounds past,
   // with their broadcasts and binary agreements, but none from the lowest
-  // round whose decide callback is still running.  Their pids stay
-  // retired in the dispatcher, so late messages are dropped; nothing they
-  // still owed a slower peer is lost (DESIGN.md §15).
-  finished_mvbas_.erase(
-      finished_mvbas_.begin(),
-      finished_mvbas_.lower_bound(
-          std::min(next_deliver_round_ - depth(), lowest_running_round_)));
+  // round whose decide callback is still running.  The dispatcher then
+  // forgets their pids and drops late messages for any round below the
+  // freed one; nothing they still owed a slower peer is lost (DESIGN.md
+  // §15).
+  const int free_below =
+      std::min(next_deliver_round_ - depth(), lowest_running_round_);
+  finished_mvbas_.erase(finished_mvbas_.begin(),
+                        finished_mvbas_.lower_bound(free_below));
+  dispatcher_.retire_rounds_below(round_prefix(), free_below);
 
   m_rounds_->inc();
   m_round_ms_->observe(env_.now_ms() - start_ms);

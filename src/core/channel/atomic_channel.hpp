@@ -183,6 +183,8 @@ class AtomicChannel : public Protocol, public ChannelBase {
 
   [[nodiscard]] Bytes sign_statement(int round,
                                      const std::vector<Entry>& entries) const;
+  /// Every pid of round R starts with round_prefix() + R.
+  [[nodiscard]] std::string round_prefix() const;
   [[nodiscard]] std::string mvba_pid(int round) const;
   [[nodiscard]] int batch_size() const;
   [[nodiscard]] int max_bundle_entries() const;

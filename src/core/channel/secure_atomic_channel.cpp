@@ -18,6 +18,7 @@ SecureAtomicChannel::SecureAtomicChannel(Environment& env,
   atomic_->set_deliver_callback([this](const Bytes& ct, PartyId) {
     on_ciphertext_delivered(ct);
   });
+  atomic_->set_closed_callback([this] { maybe_signal_closed(); });
   auto& reg = obs::registry();
   const obs::Labels labels =
       obs::party_layer_labels(env.self(), obs::layer_of(pid));
@@ -176,9 +177,22 @@ void SecureAtomicChannel::flush_ready() {
     if (deliver_cb_) deliver_cb_(inbox_.back());
     ++next_delivery_;
   }
+  maybe_signal_closed();
+}
+
+void SecureAtomicChannel::maybe_signal_closed() {
+  // The last ciphertexts before the close can still be waiting for
+  // decryption shares when the atomic channel terminates.
+  if (closed_signaled_ || !atomic_->is_closed() ||
+      next_delivery_ < slots_.size()) {
+    return;
+  }
+  closed_signaled_ = true;
+  if (closed_cb_) closed_cb_();
 }
 
 void SecureAtomicChannel::abort() {
+  closed_signaled_ = true;  // an aborted channel never reports a close
   atomic_->abort();
   Protocol::abort();
 }

@@ -80,9 +80,12 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
   void set_deliver_callback(std::function<void(const Bytes&)> cb) {
     deliver_cb_ = std::move(cb);
   }
-  /// Fires when the underlying atomic channel terminates.
+  /// Fires once the underlying atomic channel has terminated and every
+  /// ciphertext it ordered before that is delivered as cleartext (or
+  /// skipped as invalid), so a replica that stops on this callback has
+  /// delivered the whole agreed sequence.
   void set_closed_callback(std::function<void()> cb) {
-    atomic_->set_closed_callback(std::move(cb));
+    closed_cb_ = std::move(cb);
   }
 
   void abort() override;
@@ -104,6 +107,7 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
   void on_ciphertext_delivered(const Bytes& ciphertext);
   void process_share(PartyId from, std::size_t index, const Bytes& share);
   void flush_ready();
+  void maybe_signal_closed();
 
   std::unique_ptr<AtomicChannel> atomic_;
 
@@ -127,6 +131,8 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
   std::vector<Delivery> deliveries_;
   std::size_t delivery_log_limit_ = 0;  // 0 = unlimited
   std::function<void(const Bytes&)> deliver_cb_;
+  std::function<void()> closed_cb_;
+  bool closed_signaled_ = false;
 
   // Instrumentation handles (obs/metrics.hpp); measurement only.
   obs::Counter* m_deliveries_ = nullptr;

@@ -1,11 +1,32 @@
 #include "core/dispatcher.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/trace.hpp"
 
 namespace sintra::core {
+
+namespace {
+
+// The round R of a pid `prefix + R` or `prefix + R + ".…"`; nullopt for
+// any other pid.
+std::optional<int> round_under(std::string_view pid, std::string_view prefix) {
+  if (!pid.starts_with(prefix)) return std::nullopt;
+  pid.remove_prefix(prefix.size());
+  int round = 0;
+  const auto [end, ec] =
+      std::from_chars(pid.data(), pid.data() + pid.size(), round);
+  if (ec != std::errc{} || end == pid.data()) return std::nullopt;
+  if (end != pid.data() + pid.size() && *end != '.') return std::nullopt;
+  return round;
+}
+
+}  // namespace
 
 void Dispatcher::register_pid(const std::string& pid, Handler handler) {
   if (handlers_.contains(pid))
@@ -33,7 +54,38 @@ void Dispatcher::register_pid(const std::string& pid, Handler handler) {
 
 void Dispatcher::unregister_pid(const std::string& pid) {
   handlers_.erase(pid);
-  retired_[pid] = true;
+  retired_.insert(pid);
+}
+
+void Dispatcher::retire_rounds_below(const std::string& prefix, int floor) {
+  int& current = round_floors_[prefix];
+  current = std::max(current, floor);
+  const auto below = [&](const std::string& pid) {
+    const std::optional<int> round = round_under(pid, prefix);
+    return round && *round < current;
+  };
+  // Every pid under the prefix sorts at or after it, contiguously.
+  for (auto it = retired_.lower_bound(prefix);
+       it != retired_.end() && it->starts_with(prefix);) {
+    it = below(*it) ? retired_.erase(it) : std::next(it);
+  }
+  for (auto it = buffers_.lower_bound(prefix);
+       it != buffers_.end() && it->first.starts_with(prefix);) {
+    if (below(it->first)) {
+      buffered_total_ -= it->second.size();
+      it = buffers_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+bool Dispatcher::below_round_floor(const std::string& pid) const {
+  for (const auto& [prefix, floor] : round_floors_) {
+    const std::optional<int> round = round_under(pid, prefix);
+    if (round && *round < floor) return true;
+  }
+  return false;
 }
 
 void Dispatcher::attach_obs(int party, std::function<double()> now_fn) {
@@ -108,7 +160,8 @@ void Dispatcher::on_message(PartyId from, BytesView wire) {
     }
     return;
   }
-  if (retired_.contains(msg.pid)) return;  // finished protocol: drop
+  // Finished protocol, or a round of one freed for good: drop.
+  if (retired_.contains(msg.pid) || below_round_floor(msg.pid)) return;
   if (buffered_total_ >= kMaxBuffered) return;  // flooding guard
   if (obs_attached_) obs_early_->inc();
   buffers_[msg.pid].emplace_back(from,

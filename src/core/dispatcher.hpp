@@ -15,6 +15,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 
 #include "core/env.hpp"
@@ -38,11 +39,20 @@ class Dispatcher {
   /// pid is also marked retired (finished protocols must not re-buffer).
   void unregister_pid(const std::string& pid);
 
+  /// For a protocol that runs numbered rounds under pids `prefix + R`
+  /// (sub-protocols `prefix + R + ".…"`): every round below `floor` is
+  /// finished for good.  Forgets those rounds' retired pids and
+  /// early-buffered frames, and from then on drops any unrouted frame for
+  /// them, so memory stays bounded by the rounds still above the floor.
+  /// Floors only rise.
+  void retire_rounds_below(const std::string& prefix, int floor);
+
   /// Routes one wire message.  Malformed frames are dropped (Byzantine
   /// senders can always produce garbage; that must never throw past here).
   void on_message(PartyId from, BytesView wire);
 
   [[nodiscard]] std::size_t buffered_count() const { return buffered_total_; }
+  [[nodiscard]] std::size_t retired_count() const { return retired_.size(); }
 
   /// Turns on instrumentation: per-layer message/byte counters and
   /// handler-latency histograms in obs::registry(), plus kRecv trace
@@ -60,10 +70,12 @@ class Dispatcher {
     obs::Histogram* handle_ms = nullptr;
   };
   LayerMetrics& layer_metrics(const std::string& layer);
+  [[nodiscard]] bool below_round_floor(const std::string& pid) const;
 
   std::map<std::string, Handler> handlers_;
   std::map<std::string, std::deque<std::pair<PartyId, Bytes>>> buffers_;
-  std::map<std::string, bool> retired_;
+  std::set<std::string> retired_;
+  std::map<std::string, int> round_floors_;  // prefix -> first live round
   std::size_t buffered_total_ = 0;
 
   bool obs_attached_ = false;

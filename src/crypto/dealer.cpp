@@ -72,6 +72,7 @@ bool PartyKeys::verify_party_sig(int j, BytesView msg, BytesView sig) const {
 }
 
 Bytes PartyKeys::sign(BytesView msg) const {
+  const OpScope ops("party_sig.sign");
   return rsa_sign(*own_rsa, msg, hash);
 }
 

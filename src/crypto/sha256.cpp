@@ -1,29 +1,86 @@
 #include "crypto/sha256.hpp"
 
+#include <atomic>
 #include <stdexcept>
 
 #include "crypto/sha1.hpp"
+#include "crypto/sha_kernels.hpp"
 
 namespace sintra::crypto {
 
+namespace sha_kernels {
+
 namespace {
 
-constexpr std::uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+constexpr std::uint32_t rotr(std::uint32_t x, int k) {
+  return (x >> k) | (x << (32 - k));
+}
 
-std::uint32_t rotr(std::uint32_t x, int k) { return (x >> k) | (x << (32 - k)); }
+Kernel resolve_sha256() {
+  const Kernel accelerated = sha256_accelerated();
+  return accelerated != nullptr ? accelerated : &sha256_portable;
+}
+
+// The kernel Sha256::compress runs, chosen on first use.
+std::atomic<Kernel>& active_sha256() {
+  static std::atomic<Kernel> kernel{resolve_sha256()};
+  return kernel;
+}
 
 }  // namespace
+
+void sha256_portable(std::uint32_t* state, const std::uint8_t* blocks,
+                     std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, blocks += kBlockSize) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = load_be32(blocks + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kSha256K[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+Kernel exchange_sha256_kernel(Kernel kernel) {
+  return active_sha256().exchange(kernel);
+}
+
+}  // namespace sha_kernels
+
+void Sha256::compress(std::array<std::uint32_t, 8>& state,
+                      const std::uint8_t* data, std::size_t nblocks) {
+  sha_kernels::active_sha256().load(std::memory_order_relaxed)(
+      state.data(), data, nblocks);
+}
 
 Sha256::Sha256()
     : h_{0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
@@ -32,83 +89,23 @@ Sha256::Sha256()
 Sha256& Sha256::update(BytesView data) {
   if (finalized_) throw std::logic_error("Sha256: update after digest");
   total_len_ += data.size();
-  for (std::uint8_t b : data) {
-    buffer_[buffer_len_++] = b;
-    if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
-  }
+  sha_kernels::absorb(buffer_.data(), buffer_len_, data.data(), data.size(),
+                      [this](const std::uint8_t* blocks, std::size_t n) {
+                        compress(h_, blocks, n);
+                      });
   return *this;
 }
 
 Bytes Sha256::digest() {
   if (finalized_) throw std::logic_error("Sha256: digest called twice");
   finalized_ = true;
-  const std::uint64_t bit_len = total_len_ * 8;
-  buffer_[buffer_len_++] = 0x80;
-  if (buffer_len_ > kBlockSize - 8) {
-    while (buffer_len_ < kBlockSize) buffer_[buffer_len_++] = 0;
-    process_block(buffer_.data());
-    buffer_len_ = 0;
-  }
-  while (buffer_len_ < kBlockSize - 8) buffer_[buffer_len_++] = 0;
-  for (int i = 7; i >= 0; --i) {
-    buffer_[buffer_len_++] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-  }
-  process_block(buffer_.data());
-
+  sha_kernels::finish(buffer_.data(), buffer_len_, total_len_,
+                      [this](const std::uint8_t* blocks, std::size_t n) {
+                        compress(h_, blocks, n);
+                      });
   Bytes out(kDigestSize);
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(h_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(h_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(h_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(h_[i]);
-  }
+  sha_kernels::store_be(out.data(), h_.data(), h_.size());
   return out;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
 }
 
 Bytes Sha256::hash(BytesView data) { return Sha256().update(data).digest(); }

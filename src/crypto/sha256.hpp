@@ -23,7 +23,10 @@ class Sha256 {
   static Bytes hash(BytesView data);
 
  private:
-  void process_block(const std::uint8_t* block);
+  /// Compresses `nblocks` consecutive 64-byte blocks into `state` with
+  /// the fastest kernel this CPU runs (crypto/sha_kernels.hpp).
+  static void compress(std::array<std::uint32_t, 8>& state,
+                       const std::uint8_t* data, std::size_t nblocks);
 
   std::array<std::uint32_t, 8> h_;
   std::array<std::uint8_t, kBlockSize> buffer_;

@@ -74,7 +74,9 @@ bool ReplicaLog::append(BytesView record, std::string* error) {
   Bytes frame(8 + record.size());
   put32(frame.data(), static_cast<std::uint32_t>(record.size()));
   put32(frame.data() + 4, util::crc32(record));
-  std::memcpy(frame.data() + 8, record.data(), record.size());
+  if (!record.empty()) {  // an empty record's data() may be null
+    std::memcpy(frame.data() + 8, record.data(), record.size());
+  }
   std::size_t off = 0;
   while (off < frame.size()) {
     const ssize_t n = ::write(fd_, frame.data() + off, frame.size() - off);

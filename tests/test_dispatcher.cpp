@@ -61,6 +61,43 @@ TEST(Dispatcher, UnregisteredRetiredPidDropsMessages) {
   EXPECT_EQ(count, 0);
 }
 
+TEST(Dispatcher, RoundFloorForgetsAndDropsFinishedRounds) {
+  Dispatcher d;
+  for (const char* pid : {"ch.r1", "ch.r1.cb.0", "ch.r2", "ch.r10"}) {
+    d.register_pid(pid, [](PartyId, BytesView) {});
+    d.unregister_pid(pid);
+  }
+  d.register_pid("other", [](PartyId, BytesView) {});
+  d.unregister_pid("other");
+  d.on_message(0, frame_message("ch.r2.vba.1", to_bytes("early")));
+  d.on_message(0, frame_message("ch.r5.vba.1", to_bytes("early")));
+  EXPECT_EQ(d.retired_count(), 5u);
+  EXPECT_EQ(d.buffered_count(), 2u);
+
+  // Rounds 1 and 2 are freed: their retired pids and buffered frames go.
+  d.retire_rounds_below("ch.r", 3);
+  EXPECT_EQ(d.retired_count(), 2u);  // ch.r10, other
+  EXPECT_EQ(d.buffered_count(), 1u);  // ch.r5.vba.1
+
+  // Late frames for rounds below the floor are dropped, not buffered; the
+  // floor never lowers, and pids that only share the prefix still buffer.
+  d.on_message(0, frame_message("ch.r1.cb.3", to_bytes("late")));
+  d.on_message(0, frame_message("ch.r2", to_bytes("late")));
+  d.retire_rounds_below("ch.r", 1);
+  d.on_message(0, frame_message("ch.r0", to_bytes("late")));
+  EXPECT_EQ(d.buffered_count(), 1u);
+  d.on_message(0, frame_message("ch.r3", to_bytes("early")));
+  d.on_message(0, frame_message("ch.rx", to_bytes("early")));
+  d.on_message(0, frame_message("ch.r1x", to_bytes("early")));
+  EXPECT_EQ(d.buffered_count(), 4u);
+
+  // Registered pids route as before, floor or not.
+  int count = 0;
+  d.register_pid("ch.r1.cb.3", [&](PartyId, BytesView) { ++count; });
+  d.on_message(0, frame_message("ch.r1.cb.3", to_bytes("routed")));
+  EXPECT_EQ(count, 1);
+}
+
 TEST(Dispatcher, MalformedFramesDropped) {
   Dispatcher d;
   int count = 0;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "crypto/hmac.hpp"
 #include "crypto/sha1.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha_kernels.hpp"
 #include "util/hex.hpp"
 
 namespace sintra::crypto {
@@ -100,6 +103,154 @@ TEST(Sha256, DispatchHelpers) {
             Sha256::hash(to_bytes("abc")));
   EXPECT_EQ(hash_digest_size(HashKind::kSha1), 20u);
   EXPECT_EQ(hash_digest_size(HashKind::kSha256), 32u);
+}
+
+// --- Compression kernels: each one explicitly, and against each other ---
+
+using sha_kernels::Kernel;
+
+// Runs Sha1/Sha256 (update, padding, HMAC) through one named kernel for
+// the duration of a test, then restores the dispatched choice.
+class ShaKernel : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    const bool accelerated = GetParam();
+    const Kernel k1 = accelerated ? sha_kernels::sha1_accelerated()
+                                  : &sha_kernels::sha1_portable;
+    const Kernel k256 = accelerated ? sha_kernels::sha256_accelerated()
+                                    : &sha_kernels::sha256_portable;
+    if (k1 == nullptr || k256 == nullptr) {
+      GTEST_SKIP() << "this CPU (or build) lacks the x86 SHA extensions";
+    }
+    saved_sha1_ = sha_kernels::exchange_sha1_kernel(k1);
+    saved_sha256_ = sha_kernels::exchange_sha256_kernel(k256);
+  }
+  void TearDown() override {
+    if (saved_sha1_ != nullptr) sha_kernels::exchange_sha1_kernel(saved_sha1_);
+    if (saved_sha256_ != nullptr) {
+      sha_kernels::exchange_sha256_kernel(saved_sha256_);
+    }
+  }
+
+ private:
+  Kernel saved_sha1_ = nullptr;
+  Kernel saved_sha256_ = nullptr;
+};
+
+TEST_P(ShaKernel, Sha1KnownAnswers) {
+  EXPECT_EQ(hex_encode(Sha1::hash(to_bytes(""))),
+            "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  EXPECT_EQ(hex_encode(Sha1::hash(to_bytes("abc"))),
+            "a9993e364706816aba3e25717850c26c9cd0d89d");
+  EXPECT_EQ(hex_encode(Sha1::hash(to_bytes(
+                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+  Sha1 h;
+  const Bytes chunk(1000, 'a');
+  for (int i = 0; i < 1000; ++i) h.update(chunk);
+  EXPECT_EQ(hex_encode(h.digest()),
+            "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+}
+
+TEST_P(ShaKernel, Sha256KnownAnswers) {
+  EXPECT_EQ(hex_encode(Sha256::hash(to_bytes(""))),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(hex_encode(Sha256::hash(to_bytes("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(hex_encode(Sha256::hash(to_bytes(
+                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  Sha256 h;
+  const Bytes chunk(10000, 'a');
+  for (int i = 0; i < 100; ++i) h.update(chunk);
+  EXPECT_EQ(hex_encode(h.digest()),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(ShaKernel, HmacKnownAnswers) {
+  const Bytes key(20, 0x0b);
+  EXPECT_EQ(hex_encode(hmac_sha1(key, to_bytes("Hi There"))),
+            "b617318655057264e28bc0b6fb378c8ef146be00");
+  EXPECT_EQ(hex_encode(hmac(HashKind::kSha256, key, to_bytes("Hi There"))),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, ShaKernel, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Accelerated" : "Portable";
+                         });
+
+Bytes random_bytes(std::mt19937& rng, std::size_t len) {
+  Bytes out(len);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+// Feeds `msg` in random pieces (empty ones included) through the
+// dispatched kernel and compares with one portable-kernel update.
+template <typename Hash>
+void differential_updates(Kernel portable, Kernel (*exchange)(Kernel)) {
+  std::mt19937 rng(2002);
+  for (int iter = 0; iter < 2000; ++iter) {
+    const Bytes msg = random_bytes(rng, rng() % 1101);
+    const Kernel dispatched = exchange(portable);
+    const Bytes expected = Hash().update(msg).digest();
+    exchange(dispatched);
+
+    Hash h;
+    std::size_t off = 0;
+    const int pieces = 1 + static_cast<int>(rng() % 6);
+    for (int p = 0; p < pieces - 1; ++p) {
+      const std::size_t take = rng() % (msg.size() - off + 1);
+      h.update(BytesView(msg).subspan(off, take));
+      off += take;
+      if (rng() % 4 == 0) h.update(BytesView{});  // empty span
+    }
+    h.update(BytesView(msg).subspan(off));
+    ASSERT_EQ(h.digest(), expected) << "len=" << msg.size() << " iter=" << iter;
+  }
+}
+
+TEST(ShaKernels, Sha1SplitUpdatesMatchPortable) {
+  differential_updates<Sha1>(&sha_kernels::sha1_portable,
+                             &sha_kernels::exchange_sha1_kernel);
+}
+
+TEST(ShaKernels, Sha256SplitUpdatesMatchPortable) {
+  differential_updates<Sha256>(&sha_kernels::sha256_portable,
+                               &sha_kernels::exchange_sha256_kernel);
+}
+
+// Multi-block calls: the accelerated kernel over 1-16 blocks must match
+// the portable kernel run one block at a time, from a random state.
+template <std::size_t Words>
+void differential_bulk(Kernel portable, Kernel accelerated) {
+  if (accelerated == nullptr) {
+    GTEST_SKIP() << "this CPU (or build) lacks the x86 SHA extensions";
+  }
+  std::mt19937 rng(2002);
+  for (int iter = 0; iter < 500; ++iter) {
+    const std::size_t nblocks = 1 + rng() % 16;
+    const Bytes data = random_bytes(rng, 64 * nblocks);
+    std::uint32_t expected[Words], got[Words];
+    for (std::size_t i = 0; i < Words; ++i) expected[i] = got[i] = rng();
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      portable(expected, data.data() + 64 * b, 1);
+    }
+    accelerated(got, data.data(), nblocks);
+    ASSERT_TRUE(std::equal(got, got + Words, expected))
+        << "nblocks=" << nblocks << " iter=" << iter;
+  }
+}
+
+TEST(ShaKernels, Sha1BulkBlocksMatchPortable) {
+  differential_bulk<5>(&sha_kernels::sha1_portable,
+                       sha_kernels::sha1_accelerated());
+}
+
+TEST(ShaKernels, Sha256BulkBlocksMatchPortable) {
+  differential_bulk<8>(&sha_kernels::sha256_portable,
+                       sha_kernels::sha256_accelerated());
 }
 
 // --- HMAC: RFC 2202 (SHA-1) and RFC 4231 (SHA-256) vectors ---

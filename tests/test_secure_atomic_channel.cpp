@@ -150,6 +150,52 @@ TEST(SecureAtomicChannel, CloseProtocolWorksThroughEncryptedChannel) {
   EXPECT_FALSE(chans[0]->can_send());
 }
 
+// The close can land in the same round as the last ciphertexts, whose
+// decryption shares are still in flight when the atomic channel closes:
+// the closed callback must wait for them, or a replica that stops on it
+// misses the tail of the agreed sequence.
+TEST(SecureAtomicChannel, ClosedCallbackWaitsForPendingDecryptions) {
+  Cluster c(4, 1, 9);
+  AtomicChannel::Config cfg;
+  cfg.max_batch_count = 4;  // one bundle carries a payload and the close
+  auto chans = c.make_protocols<SecureAtomicChannel>(
+      [&](Environment& env, Dispatcher& disp, int) {
+        return std::make_unique<SecureAtomicChannel>(env, disp, "sac.tail",
+                                                     cfg);
+      });
+  std::vector<int> delivered_at_close(4, -1);
+  for (std::size_t i = 0; i < chans.size(); ++i) {
+    chans[i]->set_closed_callback([&, i] {
+      delivered_at_close[i] = static_cast<int>(chans[i]->deliveries().size());
+    });
+  }
+  // Round 1 opens on "first"; "last" and the close request queue behind
+  // it and share round 2's bundle.
+  for (int s = 0; s < 4; ++s) {
+    c.sim.at(0.0, s, [&, s] {
+      auto& ch = *chans[static_cast<std::size_t>(s)];
+      ch.send(to_bytes("first" + std::to_string(s)));
+      ch.send(to_bytes("last" + std::to_string(s)));
+      ch.close();
+    });
+  }
+  ASSERT_TRUE(c.sim.run_until(
+      [&] {
+        return std::all_of(delivered_at_close.begin(),
+                           delivered_at_close.end(),
+                           [](int d) { return d >= 0; });
+      },
+      8e6));
+  c.sim.run();  // whatever was still pending at the close lands now
+  const auto expected = delivered_strings(*chans[0]);
+  EXPECT_GE(expected.size(), 4u);  // both rounds' payloads
+  for (std::size_t i = 0; i < chans.size(); ++i) {
+    EXPECT_EQ(delivered_at_close[i], static_cast<int>(expected.size()))
+        << "party " << i;
+    EXPECT_EQ(delivered_strings(*chans[i]), expected) << "party " << i;
+  }
+}
+
 TEST(SecureAtomicChannel, DecryptionAddsLatencyOverAtomic) {
   // Sanity check of the Table 1 relationship: secure > atomic for the
   // same workload (one extra decryption round).

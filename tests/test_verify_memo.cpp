@@ -481,6 +481,65 @@ TEST(RoundRetirement, RetainedAgreementsStayWithinPipelineDepth) {
   }
 }
 
+// The dispatcher forgets the pids of freed rounds: its retired set holds
+// only the rounds above the channel's floor however many rounds run, and
+// a late frame for a long-finished round is dropped, not buffered.
+TEST(RoundRetirement, RetiredPidsStayWithinPipelineDepth) {
+  for (const int depth : {1, 3}) {
+    Cluster c(4, 1, 30 + static_cast<std::uint64_t>(depth));
+    core::AtomicChannel::Config cfg;
+    cfg.pipeline_depth = depth;
+    auto chans = c.make_protocols<core::AtomicChannel>(
+        [&](core::Environment& env, core::Dispatcher& disp, int) {
+          return std::make_unique<core::AtomicChannel>(env, disp, "memo.rp",
+                                                       cfg);
+        });
+    std::size_t most = 0;
+    for (int p = 0; p < 4; ++p) {
+      core::Dispatcher& disp = c.sim.node(p).dispatcher();
+      chans[static_cast<std::size_t>(p)]->set_deliver_callback(
+          [&most, &disp](const Bytes&, core::PartyId) {
+            most = std::max(most, disp.retired_count());
+          });
+    }
+    constexpr int kPerParty = 40;
+    for (int p = 0; p < 4; ++p) {
+      for (int m = 0; m < kPerParty; ++m) {
+        c.sim.at(0.2 * m, p, [&, p, m] {
+          chans[static_cast<std::size_t>(p)]->send(
+              to_bytes(std::to_string(p) + "." + std::to_string(m)));
+        });
+      }
+    }
+    ASSERT_TRUE(c.sim.run_until(
+        [&] {
+          for (const auto& ch : chans) {
+            if (ch->deliveries().size() < 4 * kPerParty) return false;
+          }
+          return true;
+        },
+        4e6))
+        << "depth " << depth;
+    const int rounds = chans[0]->rounds_completed();
+    EXPECT_GE(rounds, 40) << "depth " << depth;
+    for (int p = 0; p < 4; ++p) {
+      most = std::max(most, c.sim.node(p).dispatcher().retired_count());
+    }
+
+    // A round's agreement retires its own pid, one consistent broadcast
+    // per party and the pids of its agreement iterations.
+    constexpr std::size_t kPidsPerRound = 16;
+    EXPECT_LE(most, (static_cast<std::size_t>(depth) + 2) * kPidsPerRound)
+        << "depth " << depth << " after " << rounds << " rounds";
+
+    core::Dispatcher& disp = c.sim.node(0).dispatcher();
+    disp.on_message(1, core::frame_message("memo.rp.r2.vba.9.late",
+                                           to_bytes("late")));
+    disp.on_message(1, core::frame_message("memo.rp.r3", to_bytes("late")));
+    EXPECT_EQ(disp.buffered_count(), 0u) << "depth " << depth;
+  }
+}
+
 // A party that catches up on traffic it buffered while behind can decide
 // a round inside the delivery of the round before it: the flush opens the
 // next round, whose agreement replays its buffered messages on
