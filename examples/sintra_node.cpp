@@ -42,6 +42,9 @@
 //
 // and /tmp/out.3 converges to the same delivery sequence as its peers
 // (scripts/run_local_cluster.sh --scenario recover automates this).
+// --crash-after K makes the node SIGKILL itself right after its K-th
+// record is fsync'd, so a test can crash it mid-run at a fixed point
+// however fast the run goes.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -102,6 +105,7 @@ struct Args {
   bool corrupt_shares = false;  // Byzantine chaos: emit garbage sig shares
   std::string state_dir;        // durable log + checkpoints (recovery)
   std::uint64_t checkpoint_interval = 8;
+  std::uint64_t crash_after = 0;  // SIGKILL self after this many records
   // Throughput mode (DESIGN.md §11): 0 = keep the channel defaults.
   int batch_count = 0;        // payloads per signed bundle
   std::size_t batch_bytes = 0;  // byte cap per bundle
@@ -161,6 +165,11 @@ Args parse_args(int argc, char** argv) {
       if (a.checkpoint_interval == 0) {
         throw std::runtime_error("--checkpoint-interval wants >= 1");
       }
+    } else if (arg == "--crash-after") {
+      a.crash_after = std::stoull(value());
+      if (a.crash_after == 0) {
+        throw std::runtime_error("--crash-after wants >= 1");
+      }
     } else if (arg == "--batch-count") {
       a.batch_count = std::stoi(value());
       if (a.batch_count < 1) throw std::runtime_error("--batch-count wants >= 1");
@@ -212,6 +221,9 @@ Args parse_args(int argc, char** argv) {
     } else {
       throw std::runtime_error("unknown option " + arg);
     }
+  }
+  if (a.crash_after != 0 && a.state_dir.empty()) {
+    throw std::runtime_error("--crash-after needs --state-dir");
   }
   return a;
 }
@@ -574,7 +586,11 @@ class NodeApp {
   /// Normal path only: feeds a live channel delivery to the recovery
   /// layer (durable log + digest chain) before it is printed.
   void record(const Bytes& payload, core::PartyId origin) {
-    if (rec_) rec_->on_delivered(payload, origin);
+    if (!rec_) return;
+    rec_->on_delivered(payload, origin);
+    if (args_.crash_after != 0 && rec_->delivered_seq() == args_.crash_after) {
+      std::raise(SIGKILL);  // exactly what a kill -9 here would leave
+    }
   }
 
   void deliver(const Bytes& payload) {
@@ -676,7 +692,8 @@ int main(int argc, char** argv) {
                  "[--stats] [--metrics-out FILE] [--trace-out FILE] "
                  "[--via host:base_port] [--crypto-threads N] "
                  "[--no-mmsg] [--corrupt-shares] [--state-dir DIR] "
-                 "[--checkpoint-interval K] [--batch-count N] "
+                 "[--checkpoint-interval K] [--crash-after K] "
+                 "[--batch-count N] "
                  "[--batch-bytes N] [--pipeline-depth W] "
                  "[--bench-load MxB] [--client-port P] "
                  "[--client-keys FILE] [--max-clients N] "

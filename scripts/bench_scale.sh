@@ -152,6 +152,10 @@ gate = {
     "basis": basis,
     "measured": measured,
     "parallel_fallback_speedup": fallback["speedup"],
+    # Every rep behind the min-of-reps speedup, so a missed bar shows
+    # whether one path ran through a slow host phase.
+    "serial_ms_reps": fallback["serial_ms_reps"],
+    "parallel_ms_reps": fallback["parallel_ms_reps"],
     "threads": threads,
     "cluster_syscall_reduction": syscall_reduction,
     "pass": measured >= 2.0,
@@ -185,7 +189,8 @@ for name in sorted(k for k in runs if k.startswith("scale-")):
           f"{r['datagrams_per_delivery']} datagrams/delivery")
 print(f"  fallback-n16: serial {fallback['serial_ms']}ms, parallel "
       f"{fallback['parallel_ms']}ms ({fallback['speedup']}x, "
-      f"{threads} threads)")
+      f"{threads} threads; reps serial {fallback['serial_ms_reps']}, "
+      f"parallel {fallback['parallel_ms_reps']})")
 print(f"  cluster-n7: {sendto['syscalls_per_delivery']} -> "
       f"{mmsg['syscalls_per_delivery']} syscalls/delivery "
       f"({syscall_reduction}x reduction)")

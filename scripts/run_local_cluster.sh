@@ -94,11 +94,11 @@ if [[ -n "$bench_load" ]]; then
   send_count_set=1
 fi
 
-# A recover run must SIGKILL the last node strictly *mid-run* (after its first
-# durable delivery, before completion); more payloads widen that window.
-# Throughput mode orders up to batch-count payloads per proposer per
-# round with pipeline-depth rounds in flight, so it scales the default by
-# both to keep the window as many rounds wide as the unbatched run's.
+# A recover run crashes the last node strictly *mid-run*: after its first
+# durable delivery, before completion (the node's --crash-after hook, see
+# below).  Throughput mode orders up to batch-count payloads per proposer
+# per round with pipeline-depth rounds in flight, so it scales the default
+# by both to keep the run as many rounds long as the unbatched one.
 if [[ "$scenario" == recover && $send_count_set -eq 0 ]]; then
   send_count=$(( 12 * ${batch_count:-1} * ${pipeline_depth:-1} ))
 fi
@@ -257,6 +257,11 @@ launch_node() {
   fi
   if [[ "$scenario" == recover ]]; then
     extra+=(--state-dir "$workdir/state.$i" --checkpoint-interval 4)
+    # The last node's first incarnation crashes itself (see below); its
+    # restart runs to completion.
+    if [[ $i -eq $last && $last_crashed -eq 0 ]]; then
+      extra+=(--crash-after 1)
+    fi
   fi
   if [[ "$scenario" == clients ]]; then
     extra+=(--client-port $(( client_base + i )))
@@ -270,6 +275,7 @@ launch_node() {
 }
 
 echo "== starting $n nodes (scenario: $scenario, channel: $channel)"
+last_crashed=0
 for i in $(seq 0 $((n - 1))); do
   : > "$workdir/stats.$i"
   launch_node "$i"
@@ -284,27 +290,31 @@ if [[ "$scenario" == crash ]]; then
 fi
 
 if [[ "$scenario" == recover ]]; then
-  # Wait for the last node's first *durable* delivery — its replica log is
-  # fsync'd per record, so a nonempty log file is the earliest point
-  # where a SIGKILL leaves state worth recovering.  Killing at the first
-  # record (of n * send_count total) guarantees the restart replays a
-  # partial log and must use catch-up, not a persisted final cert.
-  while ! compgen -G "$workdir/state.$last/*.log" > /dev/null \
-        || [[ ! -s $(compgen -G "$workdir/state.$last/*.log" | head -1) ]]; do
-    if ! kill -0 "${pids[$last]}" 2>/dev/null; then
-      echo "FAIL: node $last died before its first durable delivery" >&2
-      cat "$workdir/stats.$last" >&2 || true
-      exit 1
-    fi
-    sleep 0.05
-  done
-  if [[ -e "$workdir/out.$last.done" ]]; then
-    echo "FAIL: node $last completed before the crash point (raise --send)" >&2
+  # The last node SIGKILLs itself right after its first *durable*
+  # delivery (--crash-after 1).  Its replica log is fsync'd per record, so
+  # that is the earliest point where a crash leaves state worth
+  # recovering, and crashing at the first record (of n * send_count
+  # total) guarantees the restart replays a partial log and must use
+  # catch-up, not a persisted final cert.  The hook fires inside the
+  # node, so the crash point does not depend on how fast the run goes.
+  crash_status=0
+  wait "${pids[$last]}" 2>/dev/null || crash_status=$?
+  if (( crash_status != 128 + 9 )); then
+    echo "FAIL: node $last exited with status $crash_status, not SIGKILL at its first durable delivery" >&2
+    cat "$workdir/stats.$last" >&2 || true
     exit 1
   fi
-  echo "== crashing node $last (SIGKILL) and restarting from $workdir/state.$last"
-  kill -9 "${pids[$last]}" 2>/dev/null || true
-  wait "${pids[$last]}" 2>/dev/null || true
+  if [[ -e "$workdir/out.$last.done" ]]; then
+    echo "FAIL: node $last completed before the crash point" >&2
+    exit 1
+  fi
+  log="$(compgen -G "$workdir/state.$last/*.log" | head -1 || true)"
+  if [[ -z "$log" || ! -s "$log" ]]; then
+    echo "FAIL: node $last crashed without a durable record" >&2
+    exit 1
+  fi
+  last_crashed=1
+  echo "== node $last crashed (SIGKILL) at its first durable delivery; restarting from $workdir/state.$last"
   launch_node $last
 fi
 

@@ -424,6 +424,26 @@ BigInt BigInt::mod_inverse(const BigInt& m) const {
   return s0.mod(m);
 }
 
+std::vector<BigInt> BigInt::batch_mod_inverse(const std::vector<BigInt>& vals,
+                                              const BigInt& m) {
+  const std::size_t len = vals.size();
+  if (len == 0) return {};
+  std::vector<BigInt> prefix(len);  // prefix[i] = vals[0]*..*vals[i] mod m
+  BigInt acc{1};
+  for (std::size_t i = 0; i < len; ++i) {
+    acc = (acc * vals[i]).mod(m);
+    prefix[i] = acc;
+  }
+  BigInt inv_acc = prefix[len - 1].mod_inverse(m);
+  std::vector<BigInt> out(len);
+  for (std::size_t i = len; i-- > 1;) {
+    out[i] = (inv_acc * prefix[i - 1]).mod(m);
+    inv_acc = (inv_acc * vals[i]).mod(m);
+  }
+  out[0] = std::move(inv_acc);
+  return out;
+}
+
 BigInt BigInt::gcd(BigInt a, BigInt b) {
   a.negative_ = false;
   b.negative_ = false;

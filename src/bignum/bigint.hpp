@@ -106,6 +106,14 @@ class BigInt {
   /// Multiplicative inverse mod m; throws std::domain_error if gcd != 1.
   [[nodiscard]] BigInt mod_inverse(const BigInt& m) const;
 
+  /// Inverses mod m of every element of `vals`, each in [0, m) and equal
+  /// to its own mod_inverse, for one mod_inverse in total (Montgomery's
+  /// batch trick: prefix products, one inversion, 3(len-1) multiplies to
+  /// unwind).  Throws std::domain_error if any element is not invertible:
+  /// the product then is not either.
+  static std::vector<BigInt> batch_mod_inverse(const std::vector<BigInt>& vals,
+                                               const BigInt& m);
+
   static BigInt gcd(BigInt a, BigInt b);
 
   /// Serialize as sign byte + length-prefixed magnitude.

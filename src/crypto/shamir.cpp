@@ -114,27 +114,6 @@ std::string cache_key(const char* tag, const BigInt& scale,
   return key;
 }
 
-// Montgomery batch inversion: one mod_inverse + 3m multiplies for m
-// inverses.  Values must be nonzero mod q.
-std::vector<BigInt> batch_mod_inverse(const std::vector<BigInt>& vals,
-                                      const BigInt& q) {
-  const std::size_t m = vals.size();
-  std::vector<BigInt> prefix(m);  // prefix[i] = vals[0]*..*vals[i] mod q
-  BigInt acc{1};
-  for (std::size_t i = 0; i < m; ++i) {
-    acc = (acc * vals[i]).mod(q);
-    prefix[i] = acc;
-  }
-  BigInt inv_acc = prefix[m - 1].mod_inverse(q);
-  std::vector<BigInt> out(m);
-  for (std::size_t i = m; i-- > 1;) {
-    out[i] = (inv_acc * prefix[i - 1]).mod(q);
-    inv_acc = (inv_acc * vals[i]).mod(q);
-  }
-  out[0] = inv_acc;
-  return out;
-}
-
 // All field Lagrange coefficients at zero for `indices`, from scratch with
 // one batched inversion.  Value-identical to calling lagrange_coeff_zero
 // per j (same field elements, canonically reduced).
@@ -159,7 +138,7 @@ std::vector<BigInt> full_field_coeffs(const std::vector<int>& indices,
     coeffs[0] = BigInt{1}.mod(q);
     return coeffs;
   }
-  const std::vector<BigInt> inv = batch_mod_inverse(dens, q);
+  const std::vector<BigInt> inv = BigInt::batch_mod_inverse(dens, q);
   for (std::size_t j = 0; j < k; ++j) {
     coeffs[j] = (nums[j] * inv[j]).mod(q);
   }
@@ -179,7 +158,7 @@ bool extend_field_coeffs(std::vector<BigInt>& coeffs,
     diffs[j] = (x - BigInt{indices[j] + 1}).mod(q);
     if (diffs[j].is_zero()) return false;
   }
-  const std::vector<BigInt> inv = batch_mod_inverse(diffs, q);
+  const std::vector<BigInt> inv = BigInt::batch_mod_inverse(diffs, q);
   BigInt prod_x{1};    // Π x_i over the old set
   BigInt prod_inv{1};  // Π (x − x_i)^{-1} over the old set
   for (std::size_t j = 0; j < m; ++j) {

@@ -60,6 +60,10 @@ struct RsaThresholdScheme::FastPath {
   std::optional<bignum::Montgomery> mont;
   std::shared_ptr<Tables> tables;
   int window_bits = 4;
+  // Combine's exponents a, b with a·4Δ² + b·e = 1: plain BigInt
+  // arithmetic, fixed per key, built alongside `mont`.
+  BigInt combine_a;
+  BigInt combine_b;
 
   const bignum::Montgomery& refreshed(const RsaThresholdPublic& pub) {
     const std::uint64_t now = cache_epoch();
@@ -83,6 +87,9 @@ struct RsaThresholdScheme::FastPath {
                                          window_bits);
         if (total <= bignum::kCombMemoryBudgetBytes) break;
       }
+      const BigInt four_delta_sq = (pub.delta * pub.delta) << 2;
+      combine_a = four_delta_sq.mod_inverse(pub.e);
+      combine_b = (BigInt{1} - combine_a * four_delta_sq) / pub.e;  // exact
     }
     return *mont;
   }
@@ -342,33 +349,40 @@ Bytes RsaThresholdScheme::combine(
 
   const std::lock_guard lk(fast_->mu);
   const bignum::Montgomery& mont = fast_->refreshed(*pub_);
-  // w = prod x_j^{2λ_j} as one simultaneous multi-exponentiation.  The
-  // integer coefficients are memoized per signer set; a negative 2λ_j is
-  // handled by inverting the share once (the group order is unknown, so
-  // the exponent itself cannot be reduced).
+  // w = prod x_j^{2λ_j} as one simultaneous multi-exponentiation, then
+  // y = w^a·x^b.  With a·4Δ² + b·e = 1 and w^e == x^{4Δ²}, y^e = x.  The
+  // group order is unknown, so a negative exponent (2λ_j < 0 for some
+  // shares, and b <= 0) cannot be reduced: its base is inverted instead.
+  // All those bases share one batch inversion, so a combine pays a single
+  // mod_inverse however many coefficients are negative; a share that is
+  // not invertible mod N still makes it throw std::domain_error.
   const std::vector<BigInt> lambdas =
       lagrange_.integer_coeffs(pub_->delta, indices);
+  const BigInt x = rsa_fdh(msg, pub_->modulus, pub_->hash);
+  const BigInt& a = fast_->combine_a;
+  const BigInt& b = fast_->combine_b;
+  std::vector<BigInt> to_invert;  // bases with a negative exponent, in order
+  for (std::size_t j = 0; j < indices.size(); ++j) {
+    if (lambdas[j].is_negative()) to_invert.push_back(xs[j]);
+  }
+  if (b.is_negative()) to_invert.push_back(x);
+  const std::vector<BigInt> inv =
+      BigInt::batch_mod_inverse(to_invert, pub_->modulus);
   std::vector<std::pair<BigInt, BigInt>> terms;
   terms.reserve(indices.size());
+  std::size_t next_inv = 0;
   for (std::size_t j = 0; j < indices.size(); ++j) {
     const BigInt exp2 = lambdas[j] << 1;  // 2*lambda
     if (exp2.is_negative()) {
-      terms.emplace_back(xs[j].mod_inverse(pub_->modulus), -exp2);
+      terms.emplace_back(inv[next_inv++], -exp2);
     } else {
-      terms.emplace_back(xs[j], exp2);
+      terms.emplace_back(std::move(xs[j]), exp2);
     }
   }
   const BigInt w = mont.multi_pow(terms);
-  // w^e == x^{4Δ²}.  With a·4Δ² + b·e = 1 and y = w^a·x^b we get
-  // y^e = x^{4Δ²·a + e·b} = x.
-  const BigInt x = rsa_fdh(msg, pub_->modulus, pub_->hash);
-  const BigInt four_delta_sq = (pub_->delta * pub_->delta) << 2;
-  const BigInt a = four_delta_sq.mod_inverse(pub_->e);
-  const BigInt b = (BigInt{1} - a * four_delta_sq) / pub_->e;  // exact, <= 0
-  const BigInt y =
-      b.is_negative()
-          ? mont.mul_pow(w, a, x.mod_inverse(pub_->modulus), -b)
-          : mont.mul_pow(w, a, x, b);
+  const BigInt y = b.is_negative()
+                       ? mont.mul_pow(w, a, inv[next_inv], -b)
+                       : mont.mul_pow(w, a, x, b);
   return y.to_bytes_padded(
       static_cast<std::size_t>(pub_->modulus.bit_length() + 7) / 8);
 }

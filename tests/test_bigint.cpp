@@ -202,6 +202,34 @@ TEST(BigInt, ModInverseNotInvertibleThrows) {
   EXPECT_THROW(BigInt{0}.mod_inverse(BigInt{7}), std::domain_error);
 }
 
+TEST(BigInt, BatchModInverseMatchesSingleInverses) {
+  // Composite modulus, as in Shoup's RSA combine; unreduced and negative
+  // inputs are inverted as their residues.
+  const BigInt m = bi("1000000007") * bi("998244353");
+  Rng rng(56);
+  std::vector<BigInt> vals;
+  for (int i = 0; i < 7; ++i) {
+    vals.push_back(BigInt{1} + BigInt::random_below(rng, m - BigInt{1}));
+  }
+  vals.push_back(m + BigInt{3});
+  vals.push_back(BigInt{-5});
+  const std::vector<BigInt> inv = BigInt::batch_mod_inverse(vals, m);
+  ASSERT_EQ(inv.size(), vals.size());
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    EXPECT_EQ(inv[i], vals[i].mod_inverse(m)) << i;
+  }
+  EXPECT_TRUE(BigInt::batch_mod_inverse({}, m).empty());
+}
+
+TEST(BigInt, BatchModInverseNotInvertibleThrows) {
+  const BigInt p = bi("1000000007");
+  const BigInt m = p * bi("998244353");
+  EXPECT_THROW((void)BigInt::batch_mod_inverse({BigInt{3}, p, BigInt{5}}, m),
+               std::domain_error);
+  EXPECT_THROW((void)BigInt::batch_mod_inverse({BigInt{0}}, m),
+               std::domain_error);
+}
+
 TEST(BigInt, Gcd) {
   EXPECT_EQ(BigInt::gcd(BigInt{12}, BigInt{18}), BigInt{6});
   EXPECT_EQ(BigInt::gcd(BigInt{-12}, BigInt{18}), BigInt{6});

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 
+#include "crypto/cost.hpp"
 #include "crypto/dealer.hpp"
 #include "crypto/multi_sig.hpp"
 #include "crypto/threshold_sig.hpp"
@@ -233,6 +234,71 @@ TEST(RsaThreshold, RejectsBadParameters) {
   Rng rng(1);
   EXPECT_THROW((void)deal_rsa_threshold(rng, 4, 5, 256), std::invalid_argument);
   EXPECT_THROW((void)deal_rsa_threshold(rng, 0, 0, 256), std::invalid_argument);
+}
+
+// One safe-prime key for the Shoup tests that need the factorization.
+const RsaKeyPair& shoup_key() {
+  static const RsaKeyPair key = [] {
+    Rng rng(0x1e55);
+    return rsa_generate(rng, 512, /*safe_primes=*/true);
+  }();
+  return key;
+}
+
+TEST(RsaThreshold, CombineWorkUnitsPinnedAtN16) {
+  // Signers {0..10} of n=16, k=11 carry five negative Lagrange
+  // coefficients, and b < 0 needs x^{-1} as well.  Those inverses are plain
+  // BigInt arithmetic, free in work-counter terms (DESIGN.md §6): only the
+  // multi-exponentiation and the final simultaneous power are charged, so
+  // the figure below moves only if the charged arithmetic does.
+  Rng rng(0x16b);
+  const RsaThresholdDeal deal =
+      deal_rsa_threshold_with_key(rng, 16, 11, shoup_key());
+  const Bytes msg = to_bytes("combine work pin");
+  std::vector<std::pair<int, Bytes>> shares;
+  for (int i = 0; i < 11; ++i) {
+    shares.emplace_back(i, deal.make_party(i)->sign_share(msg));
+  }
+  const auto combiner = deal.make_party(0);
+  const WorkMeter meter;
+  const Bytes sig = combiner->combine(msg, shares);
+  const std::uint64_t work = meter.elapsed();
+  EXPECT_TRUE(combiner->verify(msg, sig));
+  EXPECT_EQ(work, 111104u);  // multi_pow + mul_pow at 512 bits; inverses add 0
+}
+
+TEST(RsaThreshold, NonInvertibleShareThrowsAndIsBlacklisted) {
+  // A share whose x_i is a prime factor of N has no inverse mod N.  At
+  // position 1 of signers {0, 1, 2} its Lagrange coefficient is negative,
+  // so combine must invert it and fails with std::domain_error; the
+  // checked combine falls back, blacklists exactly that signer and still
+  // returns a standard RSA signature.
+  Rng rng(0x1f1);
+  const RsaThresholdDeal deal =
+      deal_rsa_threshold_with_key(rng, 4, 3, shoup_key());
+  const Bytes msg = to_bytes("non-invertible share");
+  std::vector<std::pair<int, Bytes>> shares;
+  for (int i = 0; i < 4; ++i) {
+    shares.emplace_back(i, deal.make_party(i)->sign_share(msg));
+  }
+  Writer w;
+  shoup_key().p.write(w);  // x_i = p
+  BigInt{0}.write(w);      // c
+  BigInt{0}.write(w);      // z
+  shares[1].second = std::move(w).take();
+
+  const auto combiner = deal.make_party(3);
+  const std::vector<std::pair<int, Bytes>> first3(shares.begin(),
+                                                  shares.begin() + 3);
+  EXPECT_THROW((void)combiner->combine(msg, first3), std::domain_error);
+  EXPECT_FALSE(combiner->verify_share(msg, 1, shares[1].second));
+
+  const auto out = combiner->combine_checked(msg, shares);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->used, (std::vector<int>{0, 2, 3}));
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(combiner->is_blacklisted(i), i == 1);
+  const RsaPublicKey pub{deal.pub->modulus, deal.pub->e};
+  EXPECT_TRUE(rsa_verify(pub, msg, out->sig, deal.pub->hash));
 }
 
 }  // namespace
