@@ -12,6 +12,7 @@
 // virtual clock is driven by.
 #include <benchmark/benchmark.h>
 
+#include "bignum/mont_kernels.hpp"
 #include "bignum/montgomery.hpp"
 #include "crypto/coin.hpp"
 #include "crypto/dealer.hpp"
@@ -74,7 +75,32 @@ Fixture& fixture(int rsa_bits, crypto::SigImpl impl) {
   return *it->second;
 }
 
+// Runs a benchmark on one Montgomery kernel set: the portable loops
+// (dispatched = false) or the set Montgomery dispatches to on this CPU.
+// The label names the set that ran, so BENCH_crypto.json records it.
+class MontKernelChoice {
+ public:
+  MontKernelChoice(benchmark::State& state, bool dispatched) {
+    const bignum::mont_kernels::KernelSet* set =
+        dispatched ? &bignum::mont_kernels::active_kernels()
+                   : &bignum::mont_kernels::portable_kernels();
+    saved_ = bignum::mont_kernels::exchange_montgomery_kernels(set);
+    state.SetLabel(set->name);
+  }
+  ~MontKernelChoice() {
+    bignum::mont_kernels::exchange_montgomery_kernels(saved_);
+  }
+  MontKernelChoice(const MontKernelChoice&) = delete;
+  MontKernelChoice& operator=(const MontKernelChoice&) = delete;
+
+ private:
+  const bignum::mont_kernels::KernelSet* saved_;
+};
+
+// range(0) is the modulus width; range(1) picks the Montgomery kernel
+// set: 0 = portable, 1 = dispatched.
 void BM_Modexp(benchmark::State& state) {
+  const MontKernelChoice choice(state, state.range(1) != 0);
   const int bits = static_cast<int>(state.range(0));
   Rng rng(1);
   const BigInt m =
@@ -87,16 +113,24 @@ void BM_Modexp(benchmark::State& state) {
     benchmark::DoNotOptimize(mont.pow(base, e));
   }
 }
-BENCHMARK(BM_Modexp)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
+BENCHMARK(BM_Modexp)
+    ->ArgNames({"", "dispatched"})
+    ->Args({128, 1})
+    ->Args({256, 1})
+    ->ArgsProduct({{512, 1024}, {0, 1}});
 
 void BM_RsaSignCrt(benchmark::State& state) {
+  const MontKernelChoice choice(state, state.range(1) != 0);
   Fixture& fx =
       fixture(static_cast<int>(state.range(0)), crypto::SigImpl::kMultiSig);
   for (auto _ : state) {
     benchmark::DoNotOptimize(fx.deal.parties[0].sign(fx.msg));
   }
 }
-BENCHMARK(BM_RsaSignCrt)->Arg(512)->Arg(1024);
+BENCHMARK(BM_RsaSignCrt)
+    ->ArgNames({"", "dispatched"})
+    ->Args({512, 1})
+    ->ArgsProduct({{1024}, {0, 1}});
 
 // The raw cost of one verification: the free function does the full
 // exponentiation every call (no per-key context, no VerifyMemo), so a
@@ -158,8 +192,11 @@ void BM_ThresholdSigCombine(benchmark::State& state) {
 BENCHMARK(BM_ThresholdSigCombine)->Arg(512)->Arg(1024);
 
 void BM_CoinRelease(benchmark::State& state) {
+  const MontKernelChoice choice(state, state.range(0) != 0);
   Fixture& fx = fixture(1024, crypto::SigImpl::kMultiSig);
-  std::uint64_t i = 0;
+  // Coin names never repeat across rows and runs, so no release hits a
+  // cache an earlier one filled and work_per_op is the same for each row.
+  static std::uint64_t i = 0;
   WorkTracker wt(state);
   for (auto _ : state) {
     Writer w;
@@ -167,7 +204,7 @@ void BM_CoinRelease(benchmark::State& state) {
     benchmark::DoNotOptimize(fx.deal.parties[0].coin->release(w.data()));
   }
 }
-BENCHMARK(BM_CoinRelease);
+BENCHMARK(BM_CoinRelease)->ArgNames({"dispatched"})->Arg(0)->Arg(1);
 
 void BM_CoinVerifyAndAssemble(benchmark::State& state) {
   Fixture& fx = fixture(1024, crypto::SigImpl::kMultiSig);
@@ -514,4 +551,13 @@ BENCHMARK(BM_HmacSha1)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus the build type of this binary in the JSON context
+// (libbenchmark's own "library_build_type" describes libbenchmark).
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("sintra_build_type", SINTRA_BUILD_TYPE);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

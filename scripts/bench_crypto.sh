@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Runs the crypto-substrate microbenchmarks and distills them into
 # BENCH_crypto.json at the repo root: ns/op and Montgomery work units per
-# operation for every benchmark (the hash rows also record their kernel
-# and MB/s), plus the work-unit speedup ratios of the
-# combine-first and fixed-base fast paths and the wall-clock before/after
-# for the 64-bit limb rework, measured against the recorded 32-bit
-# modexp figure in scripts/bench_baselines.json (docs/CRYPTO.md explains
-# both gates).
+# operation for every benchmark (the hash and Montgomery-kernel rows also
+# record their kernel, the hash rows MB/s), plus the work-unit speedup
+# ratios of the combine-first and fixed-base fast paths, the same-run
+# dispatched-vs-portable Montgomery kernel ratio, and the wall-clock
+# before/after for the 64-bit limb rework, measured against the recorded
+# 32-bit modexp figure in scripts/bench_baselines.json (docs/CRYPTO.md
+# explains the gates).
 #
 # Usage: scripts/bench_crypto.sh [build_dir]   (default: ./build)
 set -euo pipefail
@@ -47,8 +48,8 @@ for b in raw.get("benchmarks", []):
         "ns_per_op": round(b["real_time"], 1),
         "work_units_per_op": round(b.get("work_per_op", 0.0)),
     }
-    # The hash rows name the compression kernel that ran (portable or
-    # sha_ni) and their throughput.
+    # The hash and Montgomery rows name the kernel that ran (portable,
+    # sha_ni or mulx_adx); the hash rows also record their throughput.
     if b.get("label"):
         benchmarks[b["name"]]["kernel"] = b["label"]
     if "bytes_per_second" in b:
@@ -66,10 +67,14 @@ out = {
                    "*Fast benchmarks use the shipped multi-exp/comb paths; "
                    "BM_Sha1/BM_Sha256/BM_HmacSha1 run the portable "
                    "(dispatched:0) or the dispatched (dispatched:1) "
-                   "compression kernel, named in 'kernel'.",
+                   "compression kernel, BM_Modexp/BM_RsaSignCrt/"
+                   "BM_CoinRelease the portable or the dispatched "
+                   "Montgomery kernel set, named in 'kernel'.",
     "context": {
         "date": raw.get("context", {}).get("date"),
-        "build_type": raw.get("context", {}).get("library_build_type"),
+        # The build type crypto_micro was compiled with (libbenchmark's
+        # own library_build_type describes libbenchmark).
+        "build_type": raw.get("context", {}).get("sintra_build_type"),
         "group": "dl_p=1024, dl_q=160, n=4, t=1, hash=sha1",
     },
     "benchmarks": benchmarks,
@@ -95,8 +100,26 @@ PR7_RECORDED_NS = {"BM_Modexp/1024": 2066479.3,
                    "BM_Tdh2DecryptShare": 2465605.1}
 
 def wall_ns(name):
-    b = benchmarks.get(name)
+    """ns/op of a row; a name without a kernel suffix means the row that
+    runs the kernel this CPU dispatches to."""
+    b = benchmarks.get(name) or benchmarks.get(name + "/dispatched:1")
     return b["ns_per_op"] if b else None
+
+# --- Montgomery kernels: same-run dispatched vs portable ---
+kernel_rows = {}
+for name in ("BM_Modexp/1024", "BM_Modexp/512", "BM_RsaSignCrt/1024",
+             "BM_CoinRelease"):
+    portable = benchmarks.get(name + "/dispatched:0")
+    dispatched = benchmarks.get(name + "/dispatched:1")
+    if portable and dispatched:
+        kernel_rows[name] = {
+            "kernel": dispatched.get("kernel"),
+            "portable_ns": portable["ns_per_op"],
+            "dispatched_ns": dispatched["ns_per_op"],
+            "speedup": round(portable["ns_per_op"]
+                             / dispatched["ns_per_op"], 2),
+        }
+out["montgomery_kernels"] = kernel_rows
 
 # --- Recorded baselines (PR 9): scripts/bench_baselines.json holds the
 # PR 8 wall-clock figures: the 32-bit modexp "before" figure for the gate
@@ -132,17 +155,28 @@ for key in ("threshold_combine", "coin_assemble"):
     if sp[key] is None or sp[key] < 2.0:
         sys.exit(f"FAIL: {key} optimistic speedup {sp[key]}x is below the "
                  "2x acceptance bar")
-wall = out["limb_rework_wall_clock"]["modexp_1024_speedup"]
-print(f"  limb rework wall-clock speedup (modexp-1024, vs 32-bit "
-      f"baseline): {wall}x")
-if wall is None or wall < 2.0:
-    sys.exit(f"FAIL: 64-bit limb rework wall-clock speedup {wall}x on "
-             "1024-bit modexp is below the 2x acceptance bar")
+# --- Montgomery kernel gate: a ratio of two rows of this run, so it
+# holds on any machine; it applies when the CPU dispatches to MULX/ADX.
+mk = kernel_rows.get("BM_Modexp/1024")
+if mk is None:
+    sys.exit("FAIL: BM_Modexp/1024 portable/dispatched rows missing")
+print(f"  Montgomery kernels ({mk['kernel']}): modexp-1024 "
+      f"{mk['speedup']}x over portable in this run")
+if mk["kernel"] != "portable" and mk["speedup"] < 1.8:
+    sys.exit(f"FAIL: dispatched Montgomery kernels {mk['speedup']}x over "
+             "portable on 1024-bit modexp, below the 1.8x acceptance bar")
 
-# --- Recorded-baseline regression gate ---
+# --- Gates against recorded figures: they divide numbers measured on
+# another machine, so they apply only on one that matches the record.
 rec = baselines.get("recorded", {})
 same_machine = (rec.get("machine") == platform.machine()
                 and rec.get("cores") == os.cpu_count())
+wall = out["limb_rework_wall_clock"]["modexp_1024_speedup"]
+print(f"  limb rework wall-clock speedup (modexp-1024, vs 32-bit "
+      f"baseline): {wall}x")
+if same_machine and (wall is None or wall < 2.0):
+    sys.exit(f"FAIL: 64-bit limb rework wall-clock speedup {wall}x on "
+             "1024-bit modexp is below the 2x acceptance bar")
 tol = baselines.get("regression_tolerance", 1.5)
 worst = []
 for name, base_ns in baselines["wall_clock_ns"].items():
@@ -160,7 +194,8 @@ if same_machine:
     print(f"  recorded-baseline gate: all tracked benchmarks within "
           f"{tol}x of the PR {rec.get('pr')} figures")
 else:
-    print("  recorded-baseline gate: skipped (different machine: "
+    print("  recorded-baseline and limb-rework gates: skipped (different "
+          "machine: "
           f"{platform.machine()}/{os.cpu_count()} cores vs recorded "
           f"{rec.get('machine')}/{rec.get('cores')})")
     if worst:

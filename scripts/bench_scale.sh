@@ -58,7 +58,10 @@ for spec in 4:40 7:32 10:24 16:16 31:8; do
 done
 
 echo "# scale: fallback gate n=16" >&2
-"$bench" --fallback-gate --n 16 --reps 3 >>"$raw"
+# Each rep times 4 fallbacks back to back, so one rep lasts several ms
+# even with the fast Montgomery kernels and a single scheduler hiccup
+# cannot decide it.
+"$bench" --fallback-gate --n 16 --reps 3 --rounds 4 >>"$raw"
 
 # Real-cluster datapoint: identical n=7 workload, batched vs unbatched
 # syscalls.  Wall time is recorded but the cross-run comparison is the
@@ -156,6 +159,8 @@ gate = {
     # whether one path ran through a slow host phase.
     "serial_ms_reps": fallback["serial_ms_reps"],
     "parallel_ms_reps": fallback["parallel_ms_reps"],
+    # Fallbacks timed per rep; each rep is their mean.
+    "rounds_per_rep": fallback["rounds"],
     "threads": threads,
     "cluster_syscall_reduction": syscall_reduction,
     "pass": measured >= 2.0,

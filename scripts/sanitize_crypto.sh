@@ -35,13 +35,15 @@ else
   build_dir="${1:-$repo_root/build-asan}"
   # Test names are gtest suite names, not source-file names: this regex
   # covers the bignum suites (BigInt/Montgomery/MultiExp/FixedBase/
-  # Karatsuba/Prime), the crypto-layer suites built on them (including
+  # Karatsuba/Prime, both Montgomery kernel sets through MontKernel and
+  # BignumDiff, and the portable-kernel rerun of the bignum/crypto
+  # suites), the crypto-layer suites built on them (including
   # batch DLEQ verification, the optimistic combine-first paths, the
   # worker pool, both SHA kernels, HMAC and the verify-once memo), the
   # replica log's frame codec, and the net subsystem (event loop, UDP
   # transport, sliding-window link, 4-process clusters).
   filter='BigInt|BignumDiff|KnuthD|Montgomery|MultiExp|FixedBase|GroupCache'
-  filter+='|Karatsuba|Prime'
+  filter+='|Karatsuba|Prime|MontKernel|BignumCryptoPortableKernels'
   filter+='|Rsa|Shamir|Lagrange|DlogGroup|Dleq|BatchDleq|Group'
   filter+='|ThresholdSig|Coin|Tdh2|Optimistic|WorkPool'
   filter+='|Dealer|Hash|Sha|Hmac|VerifyMemo|Aes'

@@ -406,10 +406,165 @@ BigInt BigInt::mod_pow(const BigInt& e, const BigInt& m) const {
   return result;
 }
 
+namespace {
+
+// --- binary extended GCD over fixed-width limb arrays (odd moduli) ---
+
+// Number of significant limbs of x[0..len).
+std::size_t used_limbs(const Limb* x, std::size_t len) {
+  while (len > 0 && x[len - 1] == 0) --len;
+  return len;
+}
+
+// Trailing zero bits of a nonzero x.
+unsigned trailing_zeros(const Limb* x) {
+  unsigned k = 0;
+  for (; *x == 0; ++x) k += kLB;
+  return k + static_cast<unsigned>(__builtin_ctzll(*x));
+}
+
+// x >>= k over len limbs; len shrinks to the significant limbs.
+void shift_right(Limb* x, std::size_t& len, unsigned k) {
+  const std::size_t limbs = k / kLB;
+  const unsigned bits = k % kLB;
+  const std::size_t keep = len - limbs;
+  for (std::size_t i = 0; i < keep; ++i) {
+    Limb v = x[i + limbs] >> bits;
+    if (bits != 0 && i + limbs + 1 < len) {
+      v |= x[i + limbs + 1] << (kLB - static_cast<int>(bits));
+    }
+    x[i] = v;
+  }
+  len = used_limbs(x, keep);
+}
+
+int compare(const Limb* a, std::size_t alen, const Limb* b,
+            std::size_t blen) {
+  if (alen != blen) return alen < blen ? -1 : 1;
+  for (std::size_t i = alen; i-- > 0;) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  return 0;
+}
+
+// a -= b over alen limbs (a >= b, blen <= alen); returns the borrow out.
+Limb subtract(Limb* a, std::size_t alen, const Limb* b, std::size_t blen) {
+  Limb borrow = 0;
+  for (std::size_t i = 0; i < alen; ++i) {
+    if (i >= blen && borrow == 0) break;
+    const Limb bi = i < blen ? b[i] : 0;
+    const Wide d = static_cast<Wide>(a[i]) - bi - borrow;
+    a[i] = lo(d);
+    borrow = hi(d) != 0 ? 1 : 0;
+  }
+  return borrow;
+}
+
+// x = x - y mod m for x, y in [0, m), all n limbs.
+void sub_mod(Limb* x, const Limb* y, const Limb* m, std::size_t n) {
+  if (subtract(x, n, y, n) == 0) return;
+  Limb carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Wide s = static_cast<Wide>(x[i]) + m[i] + carry;
+    x[i] = lo(s);
+    carry = hi(s);
+  }
+}
+
+// x = x / 2^k mod m for x in [0, m), m odd, m0inv = -m^-1 mod 2^64: each
+// chunk of up to 63 bits adds the multiple q*m that clears the low bits,
+// then shifts them out; (x + q*m) / 2^c < m keeps x reduced.
+void halve_mod(Limb* x, unsigned k, const Limb* m, std::size_t n,
+               Limb m0inv) {
+  while (k > 0) {
+    const unsigned c = std::min(k, 63u);
+    k -= c;
+    const Limb q = (x[0] * m0inv) & ((Limb{1} << c) - 1);
+    Limb carry = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Wide t = static_cast<Wide>(q) * m[i] + x[i] + carry;
+      x[i] = lo(t);
+      carry = hi(t);
+    }
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      x[i] = (x[i] >> c) | (x[i + 1] << (kLB - static_cast<int>(c)));
+    }
+    x[n - 1] = (x[n - 1] >> c) | (carry << (kLB - static_cast<int>(c)));
+  }
+}
+
+// Writes a^-1 mod m into out (n limbs) for odd m > 1 of n limbs and
+// 0 < a < m; returns false when gcd(a, m) != 1.  Binary extended GCD with
+// the invariants x1*a = u and x2*a = v (mod m): subtract the smaller of
+// the odd pair (u, v) from the larger, then divide the even difference and
+// its coefficient by the same power of two.  O(n) limb work per step, no
+// allocation beyond one scratch block.
+bool inverse_odd_modulus(const Limb* a, std::size_t alen, const Limb* m,
+                         std::size_t n, Limb* out) {
+  constexpr std::size_t kStackLimbs = 64;
+  Limb stack[4 * kStackLimbs];
+  std::vector<Limb> heap;
+  Limb* buf = stack;
+  if (n > kStackLimbs) {
+    heap.resize(4 * n);
+    buf = heap.data();
+  }
+  Limb* u = buf;
+  Limb* v = buf + n;
+  Limb* x1 = buf + 2 * n;
+  Limb* x2 = buf + 3 * n;
+  std::fill(buf, buf + 4 * n, Limb{0});
+  std::copy(a, a + alen, u);
+  std::copy(m, m + n, v);
+  x1[0] = 1;
+  std::size_t ulen = alen;
+  std::size_t vlen = n;
+  Limb m0inv = m[0];  // -m^-1 mod 2^64 by Newton iteration
+  for (int i = 0; i < 5; ++i) m0inv *= 2 - m[0] * m0inv;
+  m0inv = Limb{0} - m0inv;
+
+  if (const unsigned k = trailing_zeros(u); k != 0) {
+    shift_right(u, ulen, k);
+    halve_mod(x1, k, m, n, m0inv);
+  }
+  for (;;) {  // u and v are odd here
+    const int c = compare(u, ulen, v, vlen);
+    if (c == 0) break;
+    if (c > 0) {
+      subtract(u, ulen, v, vlen);
+      sub_mod(x1, x2, m, n);
+      const unsigned k = trailing_zeros(u);
+      shift_right(u, ulen, k);
+      halve_mod(x1, k, m, n, m0inv);
+    } else {
+      subtract(v, vlen, u, ulen);
+      sub_mod(x2, x1, m, n);
+      const unsigned k = trailing_zeros(v);
+      shift_right(v, vlen, k);
+      halve_mod(x2, k, m, n, m0inv);
+    }
+  }
+  if (ulen != 1 || u[0] != 1) return false;  // u = v = gcd(a, m)
+  std::copy(x1, x1 + n, out);
+  return true;
+}
+
+}  // namespace
+
 BigInt BigInt::mod_inverse(const BigInt& m) const {
   if (m <= BigInt{0}) throw std::domain_error("BigInt::mod_inverse: modulus <= 0");
-  // Extended Euclid on (a mod m, m).
   BigInt a = this->mod(m);
+  if (m.is_odd() && !m.is_one()) {
+    // The hot case (RSA moduli, group primes and orders): binary GCD.
+    std::vector<Limb> out(m.limbs_.size());
+    if (a.is_zero() || !inverse_odd_modulus(a.limbs_.data(), a.limbs_.size(),
+                                            m.limbs_.data(), m.limbs_.size(),
+                                            out.data())) {
+      throw std::domain_error("BigInt::mod_inverse: not invertible");
+    }
+    return from_limbs(std::move(out));
+  }
+  // Even moduli (key generation only): extended Euclid on (a mod m, m).
   BigInt r0 = m, r1 = a;
   BigInt s0{0}, s1{1};
   while (!r1.is_zero()) {

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "bignum/mont_kernels.hpp"
+
 namespace sintra::bignum {
 
 namespace {
@@ -25,16 +27,14 @@ Limb inv64(Limb x) {
   return y;
 }
 
-// Fixed-capacity scratch for the single-multiplication helpers: one CIOS
-// accumulator (n+1 limbs used, one spare) plus one result row, sized for
-// kMaxModulusBits.  Lives on the stack of each helper — the hot path
+// Fixed-capacity rows for the single-multiplication helpers, sized for
+// kMaxModulusBits.  They live on the stack of each helper — the hot path
 // performs zero heap allocations per multiply.
-constexpr std::size_t kMaxLimbs = kMaxModulusBits / 64;       // 64
-constexpr std::size_t kScratchCap = kMaxLimbs + 2;            // t buffer
+constexpr std::size_t kMaxLimbs = kMaxModulusBits / 64;  // 64
 
-// Exponentiation working set (window table + accumulator + temporaries).
-// Sized so a full 16-entry window table for a 4096-bit modulus fits on the
-// stack (16n + n + n+2 = 1154 limbs at n = 64); only the multi-base
+// Exponentiation working set (window table + accumulator).  Sized so a
+// full 16-entry window table for a 4096-bit modulus fits on the stack
+// (16n + n = 1088 limbs at n = 64); only the multi-base
 // simul_pow working sets (up to kSimulPowMax tables) can exceed it, and
 // those reuse one thread-local buffer, so no path pays a per-call heap
 // allocation after warm-up.
@@ -95,149 +95,36 @@ Montgomery::Montgomery(const BigInt& modulus) : modulus_(modulus) {
   one_.resize(m_.size(), 0);
 }
 
-void Montgomery::mmul(Limb* out, const Limb* a, const Limb* b,
-                      Limb* t) const {
+void Montgomery::mmul(Limb* out, const Limb* a, const Limb* b) const {
   const std::size_t n = m_.size();
+  // The work charge is the cost model's, independent of the kernel that
+  // runs (mont_kernels.hpp).
   g_work += kLimbWorkScale * static_cast<std::uint64_t>(n) * n;
-  // Fused CIOS: one outer pass per limb of a; the multiply row
-  // (t += a[i]*b) and the reduction row (t += mi*m, t >>= 64) share a
-  // single inner loop with two running carries.  Invariant: the t value
-  // entering and leaving each outer iteration is < 2m, so t occupies n
-  // limbs plus a top limb t[n] in {0, 1} — no intermediate normalization
-  // is ever needed (bounds walked through in docs/CRYPTO.md).
-  std::fill(t, t + n + 2, 0u);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Limb ai = a[i];
-    // Column 0 decides the reduction multiplier mi, and its reduced limb
-    // is exactly zero by construction of m0inv, so it is never stored.
-    const Wide p0 = static_cast<Wide>(ai) * b[0] + t[0];
-    const Limb mi = static_cast<Limb>(p0) * m0inv_;
-    const Wide r0 = static_cast<Wide>(mi) * m_[0] + static_cast<Limb>(p0);
-    Limb carry_mul = static_cast<Limb>(p0 >> 64);
-    Limb carry_red = static_cast<Limb>(r0 >> 64);
-    for (std::size_t j = 1; j < n; ++j) {
-      const Wide p = static_cast<Wide>(ai) * b[j] + t[j] + carry_mul;
-      carry_mul = static_cast<Limb>(p >> 64);
-      const Wide r =
-          static_cast<Wide>(mi) * m_[j] + static_cast<Limb>(p) + carry_red;
-      t[j - 1] = static_cast<Limb>(r);
-      carry_red = static_cast<Limb>(r >> 64);
-    }
-    const Wide s = static_cast<Wide>(t[n]) + carry_mul + carry_red;
-    t[n - 1] = static_cast<Limb>(s);
-    t[n] = static_cast<Limb>(s >> 64);  // in {0, 1}
-  }
-  // Conditional subtraction: t may be in [0, 2m).
-  bool ge = t[n] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = n; i-- > 0;) {
-      if (t[i] != m_[i]) {
-        ge = t[i] > m_[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    Limb borrow = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Limb ti = t[i];
-      const Limb d = ti - m_[i] - borrow;
-      borrow = (static_cast<Wide>(m_[i]) + borrow > ti) ? 1 : 0;
-      out[i] = d;
-    }
+  if (n == 8) {
+    mont_kernels::active_kernels().mul8(out, a, b, m_.data(), m0inv_);
+  } else if (n == 16) {
+    mont_kernels::active_kernels().mul16(out, a, b, m_.data(), m0inv_);
   } else {
-    std::copy(t, t + n, out);
+    mont_kernels::mul_portable(out, a, b, m_.data(), m0inv_, n);
   }
 }
 
 void Montgomery::msqr(Limb* out, const Limb* a) const {
   const std::size_t n = m_.size();
   g_work += kLimbWorkScale * static_cast<std::uint64_t>(n) * n;
-  // SOS squaring: full double-width square first (cross products computed
-  // once, then doubled, then the diagonal squares added), followed by n
-  // Montgomery reduction rows.  1.5n^2 + O(n) limb products vs the 2n^2
-  // of mmul.  r needs 2n+1 limbs: the square fills 2n, and the reduction
-  // carries can reach one bit into limb 2n (a^2 + m*floor-term < 2^(128n+1)).
-  Limb r[2 * kMaxLimbs + 1];
-  std::fill(r, r + 2 * n + 1, 0u);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    const Limb ai = a[i];
-    Limb carry = 0;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const Wide cur = static_cast<Wide>(ai) * a[j] + r[i + j] + carry;
-      r[i + j] = static_cast<Limb>(cur);
-      carry = static_cast<Limb>(cur >> 64);
-    }
-    r[i + n] = carry;
-  }
-  // Double the cross terms.  2*cross < a^2 < 2^(128n), so the shift-out of
-  // limb 2n-1 is always zero.
-  Limb topbit = 0;
-  for (std::size_t i = 0; i < 2 * n; ++i) {
-    const Limb v = r[i];
-    r[i] = (v << 1) | topbit;
-    topbit = v >> 63;
-  }
-  // Add the diagonal a[i]^2 at bit position 128*i.
-  Limb carry = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Wide sq = static_cast<Wide>(a[i]) * a[i];
-    const Wide lo_sum =
-        static_cast<Wide>(r[2 * i]) + static_cast<Limb>(sq) + carry;
-    r[2 * i] = static_cast<Limb>(lo_sum);
-    const Wide hi_sum = static_cast<Wide>(r[2 * i + 1]) +
-                        static_cast<Limb>(sq >> 64) +
-                        static_cast<Limb>(lo_sum >> 64);
-    r[2 * i + 1] = static_cast<Limb>(hi_sum);
-    carry = static_cast<Limb>(hi_sum >> 64);
-  }
-  // Reduction: zero the low n limbs one at a time, exactly as in CIOS.
-  for (std::size_t i = 0; i < n; ++i) {
-    const Limb mi = r[i] * m0inv_;
-    Limb c = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const Wide cur = static_cast<Wide>(mi) * m_[j] + r[i + j] + c;
-      r[i + j] = static_cast<Limb>(cur);
-      c = static_cast<Limb>(cur >> 64);
-    }
-    for (std::size_t k = i + n; c != 0; ++k) {
-      const Wide cur = static_cast<Wide>(r[k]) + c;
-      r[k] = static_cast<Limb>(cur);
-      c = static_cast<Limb>(cur >> 64);
-    }
-  }
-  // Result is r[n..2n] < 2m with r[2n] in {0, 1}; same conditional
-  // subtraction as mmul.
-  const Limb* t = r + n;
-  bool ge = r[2 * n] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = n; i-- > 0;) {
-      if (t[i] != m_[i]) {
-        ge = t[i] > m_[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    Limb borrow = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Limb ti = t[i];
-      const Limb d = ti - m_[i] - borrow;
-      borrow = (static_cast<Wide>(m_[i]) + borrow > ti) ? 1 : 0;
-      out[i] = d;
-    }
+  if (n == 8) {
+    mont_kernels::active_kernels().sqr8(out, a, m_.data(), m0inv_);
+  } else if (n == 16) {
+    mont_kernels::active_kernels().sqr16(out, a, m_.data(), m0inv_);
   } else {
-    std::copy(t, t + n, out);
+    mont_kernels::sqr_portable(out, a, m_.data(), m0inv_, n);
   }
 }
 
 Montgomery::Limbs Montgomery::mont_mul(const Limbs& a, const Limbs& b) const {
   const std::size_t n = m_.size();
   Limbs out(n);
-  Limb t[kScratchCap];
-  mmul(out.data(), a.data(), b.data(), t);
+  mmul(out.data(), a.data(), b.data());
   return out;
 }
 
@@ -247,10 +134,10 @@ Montgomery::Limbs Montgomery::to_mont(const BigInt& a) const {
   return mont_mul(al, r2_);
 }
 
-void Montgomery::to_mont_into(Limb* out, const BigInt& a, Limb* t) const {
+void Montgomery::to_mont_into(Limb* out, const BigInt& a) const {
   Limbs al = a.mod(modulus_).limbs();
   al.resize(m_.size(), 0);
-  mmul(out, al.data(), r2_.data(), t);
+  mmul(out, al.data(), r2_.data());
 }
 
 BigInt Montgomery::from_mont(const Limbs& a) const {
@@ -264,8 +151,7 @@ BigInt Montgomery::from_mont_raw(const Limb* a) const {
   Limb unit[kMaxLimbs] = {};
   unit[0] = 1;
   Limb out[kMaxLimbs];
-  Limb t[kScratchCap];
-  mmul(out, a, unit, t);
+  mmul(out, a, unit);
   return BigInt::from_limbs(Limbs(out, out + n));
 }
 
@@ -274,11 +160,11 @@ BigInt Montgomery::mul(const BigInt& a, const BigInt& b) const {
 }
 
 void Montgomery::build_window_table(Limb* table, const Limb* basemont,
-                                    int max_digit, Limb* t) const {
+                                    int max_digit) const {
   const std::size_t n = m_.size();
   for (int d = 2; d <= max_digit; ++d) {
     mmul(table + static_cast<std::size_t>(d) * n,
-         table + static_cast<std::size_t>(d - 1) * n, basemont, t);
+         table + static_cast<std::size_t>(d - 1) * n, basemont);
   }
 }
 
@@ -291,13 +177,12 @@ BigInt Montgomery::pow(const BigInt& base, const BigInt& exp) const {
   // the table they use.
   const int maxd = max_window_digit(exp);
   const std::size_t table_limbs = static_cast<std::size_t>(maxd + 1) * n;
-  Workspace ws(table_limbs + 2 * n + (n + 2));
+  Workspace ws(table_limbs + n);
   Limb* table = ws.p;
   Limb* acc = table + table_limbs;
-  Limb* t = acc + n;  // n+2 limbs, followed by nothing
   // table[1] = base in Montgomery form; table[2..maxd] by one mult each.
-  to_mont_into(table + n, base, t);
-  build_window_table(table, table + n, maxd, t);
+  to_mont_into(table + n, base);
+  build_window_table(table, table + n, maxd);
 
   const int bits = exp.bit_length();
   const int windows = (bits + 3) / 4;
@@ -312,7 +197,7 @@ BigInt Montgomery::pow(const BigInt& base, const BigInt& exp) const {
     }
     const auto digit = exp.bits_window(4 * w, 4);
     if (digit != 0) {
-      mmul(acc, acc, table + static_cast<std::size_t>(digit) * n, t);
+      mmul(acc, acc, table + static_cast<std::size_t>(digit) * n);
       started = true;
     }
   }
@@ -337,15 +222,14 @@ BigInt Montgomery::simul_pow(const std::pair<BigInt, BigInt>* terms,
   }
   if (bits == 0) return BigInt{1}.mod(modulus_);
 
-  Workspace ws(table_limbs + 2 * n + (n + 2));
+  Workspace ws(table_limbs + n);
   Limb* tables = ws.p;
   Limb* acc = tables + table_limbs;
-  Limb* t = acc + n;
   for (std::size_t i = 0; i < count; ++i) {
     if (maxd[i] == 0) continue;  // zero exponent contributes nothing
     Limb* table = tables + offset[i];
-    to_mont_into(table + n, terms[i].first, t);
-    build_window_table(table, table + n, maxd[i], t);
+    to_mont_into(table + n, terms[i].first);
+    build_window_table(table, table + n, maxd[i]);
   }
 
   const int windows = (bits + 3) / 4;
@@ -361,8 +245,8 @@ BigInt Montgomery::simul_pow(const std::pair<BigInt, BigInt>* terms,
     for (std::size_t i = 0; i < count; ++i) {
       const auto digit = terms[i].second.bits_window(4 * w, 4);
       if (digit != 0) {
-        mmul(acc, acc, tables + offset[i] + static_cast<std::size_t>(digit) * n,
-             t);
+        mmul(acc, acc,
+             tables + offset[i] + static_cast<std::size_t>(digit) * n);
         started = true;
       }
     }
@@ -447,14 +331,13 @@ FixedBaseTable Montgomery::precompute(const BigInt& base, int max_exp_bits,
   out.entries_.assign(static_cast<std::size_t>(out.windows_) *
                           static_cast<std::size_t>(digits) * n,
                       0);
-  Limb t[kScratchCap];
   auto entry = [&](int j, int d) -> Limb* {
     return out.entries_.data() +
            (static_cast<std::size_t>(j) * static_cast<std::size_t>(digits) +
             static_cast<std::size_t>(d)) *
                n;
   };
-  to_mont_into(entry(0, 1), base, t);
+  to_mont_into(entry(0, 1), base);
   for (int j = 0; j < out.windows_; ++j) {
     if (j > 0) {
       // base^(D^j) = (base^(D^(j-1)))^D: window_bits squarings.
@@ -462,7 +345,7 @@ FixedBaseTable Montgomery::precompute(const BigInt& base, int max_exp_bits,
       for (int s = 0; s < window_bits; ++s) msqr(entry(j, 1), entry(j, 1));
     }
     for (int d = 2; d < digits; ++d) {
-      mmul(entry(j, d), entry(j, d - 1), entry(j, 1), t);
+      mmul(entry(j, d), entry(j, d - 1), entry(j, 1));
     }
   }
   return out;
@@ -474,7 +357,7 @@ bool Montgomery::accepts(const FixedBaseTable& table, const BigInt& e) const {
 }
 
 void Montgomery::comb_mul_into(Limb* acc, const FixedBaseTable& table,
-                               const BigInt& e, Limb* t) const {
+                               const BigInt& e) const {
   const std::size_t n = m_.size();
   const int w = table.window_bits_;
   const auto digits = static_cast<std::size_t>(1) << w;
@@ -485,8 +368,7 @@ void Montgomery::comb_mul_into(Limb* acc, const FixedBaseTable& table,
       mmul(acc,
            acc,
            table.entries_.data() +
-               (static_cast<std::size_t>(j) * digits + digit) * n,
-           t);
+               (static_cast<std::size_t>(j) * digits + digit) * n);
     }
   }
 }
@@ -495,9 +377,8 @@ BigInt Montgomery::pow(const FixedBaseTable& table, const BigInt& e) const {
   if (e.is_zero()) return BigInt{1}.mod(modulus_);
   if (!accepts(table, e)) return pow(table.base_, e);
   Limb acc[kMaxLimbs];
-  Limb t[kScratchCap];
   std::copy(one_.begin(), one_.end(), acc);
-  comb_mul_into(acc, table, e, t);
+  comb_mul_into(acc, table, e);
   return from_mont_raw(acc);
 }
 
@@ -511,10 +392,9 @@ BigInt Montgomery::mul_pow(const FixedBaseTable& ta, const BigInt& ea,
   if (ea.is_zero()) return pow(tb, eb);
   if (eb.is_zero()) return pow(ta, ea);
   Limb acc[kMaxLimbs];
-  Limb t[kScratchCap];
   std::copy(one_.begin(), one_.end(), acc);
-  comb_mul_into(acc, ta, ea, t);
-  comb_mul_into(acc, tb, eb, t);
+  comb_mul_into(acc, ta, ea);
+  comb_mul_into(acc, tb, eb);
   return from_mont_raw(acc);
 }
 
@@ -530,12 +410,11 @@ BigInt Montgomery::mul_pow(const FixedBaseTable& ta, const BigInt& ea,
   const std::size_t n = m_.size();
   const int maxd = max_window_digit(eb);
   const std::size_t table_limbs = static_cast<std::size_t>(maxd + 1) * n;
-  Workspace ws(table_limbs + 2 * n + (n + 2));
+  Workspace ws(table_limbs + n);
   Limb* table = ws.p;
   Limb* acc = table + table_limbs;
-  Limb* t = acc + n;
-  to_mont_into(table + n, b, t);
-  build_window_table(table, table + n, maxd, t);
+  to_mont_into(table + n, b);
+  build_window_table(table, table + n, maxd);
 
   const int windows = (eb.bit_length() + 3) / 4;
   std::copy(one_.begin(), one_.end(), acc);
@@ -549,12 +428,12 @@ BigInt Montgomery::mul_pow(const FixedBaseTable& ta, const BigInt& ea,
     }
     const auto digit = eb.bits_window(4 * w, 4);
     if (digit != 0) {
-      mmul(acc, acc, table + static_cast<std::size_t>(digit) * n, t);
+      mmul(acc, acc, table + static_cast<std::size_t>(digit) * n);
       started = true;
     }
   }
   if (!started) std::copy(one_.begin(), one_.end(), acc);
-  comb_mul_into(acc, ta, ea, t);
+  comb_mul_into(acc, ta, ea);
   return from_mont_raw(acc);
 }
 

@@ -6,7 +6,10 @@
 // over 64-bit limbs: each outer iteration interleaves the multiply row and
 // the reduction row in ONE inner loop with two running carries and no
 // intermediate normalization, using `unsigned __int128` products
-// (docs/CRYPTO.md walks through the algorithm and its bounds).
+// (docs/CRYPTO.md walks through the algorithm and its bounds).  For 8- and
+// 16-limb moduli the limb arithmetic runs in the kernel set chosen for
+// this CPU (mont_kernels.hpp: MULX/ADX where available); results and
+// work accounting do not depend on the set.
 //
 // Beyond plain `pow`, the context offers the fast-path entry points that
 // the threshold-crypto stack is built on:
@@ -175,9 +178,10 @@ class Montgomery {
 
   [[nodiscard]] Limbs to_mont(const BigInt& a) const;
   [[nodiscard]] BigInt from_mont(const Limbs& a) const;
-  /// out = a*b*R^-1 mod m (fused CIOS) over raw n-limb arrays; t is n+2
-  /// limbs of scratch.  out may alias a and/or b.
-  void mmul(Limb* out, const Limb* a, const Limb* b, Limb* t) const;
+  /// out = a*b*R^-1 mod m (fused CIOS) over raw n-limb arrays.  out may
+  /// alias a and/or b.  Runs the active kernel set for 8- and 16-limb
+  /// moduli, the portable loop otherwise (mont_kernels.hpp).
+  void mmul(Limb* out, const Limb* a, const Limb* b) const;
   /// out = a*a*R^-1 mod m.  Exploits product symmetry (cross terms computed
   /// once and doubled), ~25% fewer limb products than mmul; used for the
   /// squaring chains that dominate every exponentiation ladder.  Charges
@@ -188,16 +192,16 @@ class Montgomery {
   void msqr(Limb* out, const Limb* a) const;
   [[nodiscard]] Limbs mont_mul(const Limbs& a, const Limbs& b) const;
   /// Writes the Montgomery form of a into out (n limbs).
-  void to_mont_into(Limb* out, const BigInt& a, Limb* t) const;
+  void to_mont_into(Limb* out, const BigInt& a) const;
   [[nodiscard]] BigInt from_mont_raw(const Limb* a) const;
   /// Fills table entries d = 2..max_digit with basemont^d (entry 1 must
   /// already hold basemont; entry 0 is never read).
-  void build_window_table(Limb* table, const Limb* basemont, int max_digit,
-                          Limb* t) const;
+  void build_window_table(Limb* table, const Limb* basemont,
+                          int max_digit) const;
   /// acc *= table-eval of e (both in Montgomery form); the comb needs no
   /// squarings.
-  void comb_mul_into(Limb* acc, const FixedBaseTable& table, const BigInt& e,
-                     Limb* t) const;
+  void comb_mul_into(Limb* acc, const FixedBaseTable& table,
+                     const BigInt& e) const;
   [[nodiscard]] bool accepts(const FixedBaseTable& table,
                              const BigInt& e) const;
   /// Hard cap on terms per shared squaring chain (sizes the fixed stack

@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "util/hex.hpp"
+#include "util/rng.hpp"
 
 namespace sintra::bignum {
 namespace {
@@ -200,6 +201,36 @@ TEST(BigInt, ModInverse) {
 TEST(BigInt, ModInverseNotInvertibleThrows) {
   EXPECT_THROW(BigInt{6}.mod_inverse(BigInt{9}), std::domain_error);
   EXPECT_THROW(BigInt{0}.mod_inverse(BigInt{7}), std::domain_error);
+}
+
+// Odd moduli take the binary extended GCD: random widths from one limb to
+// past the 64-limb stack scratch, operands of every size below m (and
+// negative or >= m ones, which are reduced first), checked by a*inv = 1.
+TEST(BigInt, ModInverseOddModuliRandomized) {
+  Rng rng(0x696e76);
+  for (int iter = 0; iter < 300; ++iter) {
+    const int bits = iter == 0 ? 4200 : 2 + static_cast<int>(rng.uniform(1100));
+    BigInt m = BigInt::random_bits(rng, bits);
+    if (!m.is_odd()) m += BigInt{1};
+    BigInt a = BigInt::random_bits(rng, 1 + static_cast<int>(rng.uniform(
+                                            static_cast<std::uint64_t>(bits + 70))));
+    if (iter % 5 == 0) a = -a;
+    if (BigInt::gcd(a, m) != BigInt{1}) {
+      EXPECT_THROW((void)a.mod_inverse(m), std::domain_error) << iter;
+      continue;
+    }
+    const BigInt inv = a.mod_inverse(m);
+    ASSERT_GE(inv, BigInt{0});
+    ASSERT_LT(inv, m);
+    ASSERT_EQ((a * inv).mod(m), BigInt{1}.mod(m)) << "iter=" << iter;
+  }
+  // A shared odd factor, a power of two against an odd modulus, m = 1.
+  const BigInt p = bi("340282366920938463463374607431768211507");
+  const BigInt q = bi("18446744073709551557");
+  EXPECT_THROW((void)(p * BigInt{3}).mod_inverse(p * q), std::domain_error);
+  const BigInt two_k = BigInt{1} << 300;
+  EXPECT_EQ((two_k * two_k.mod_inverse(p * q)).mod(p * q), BigInt{1});
+  EXPECT_EQ(BigInt{5}.mod_inverse(BigInt{1}), BigInt{0});
 }
 
 TEST(BigInt, BatchModInverseMatchesSingleInverses) {

@@ -25,6 +25,7 @@
 #include "bignum/bigint.hpp"
 #include "bignum/montgomery.hpp"
 #include "crypto/sha256.hpp"
+#include "mont_kernel_fixture.hpp"
 #include "util/hex.hpp"
 #include "util/rng.hpp"
 #include "util/serde.hpp"
@@ -126,7 +127,7 @@ TEST(BignumDiff, RandomizedShifts) {
             "7b89cd74e01115679c836181c47eb84d4a8e94fe509694140348b9b5677c4420");
 }
 
-TEST(BignumDiff, RandomizedModexpOddModulus) {
+std::string randomized_modexp_digest() {
   Rng rng(0xd1ff68);
   ResultHash h;
   for (int iter = 0; iter < 8; ++iter) {
@@ -139,11 +140,10 @@ TEST(BignumDiff, RandomizedModexpOddModulus) {
     const BigInt e = from_bytes(rng.bytes(1 + rng.uniform(lm)));
     h.add(b.mod_pow(e, m));
   }
-  EXPECT_EQ(h.hex(),
-            "b2866f4a47a3adccff7f6143372f69011d9f3378bebc9195a1869bf681a4f30e");
+  return h.hex();
 }
 
-TEST(BignumDiff, Modexp1024BitVector) {
+std::string modexp_1024_digest() {
   // One full RSA-sized case through the fused CIOS path.
   Rng rng(0xd1ff69);
   Bytes mb = rng.bytes(128);
@@ -154,9 +154,54 @@ TEST(BignumDiff, Modexp1024BitVector) {
   const BigInt e = from_bytes(rng.bytes(128));
   ResultHash h;
   h.add(b.mod_pow(e, m));
-  EXPECT_EQ(h.hex(),
-            "bc53050d4c15e3933b3efc8ae33ec5ee11663268f9296cbcc469af6bbfaf9c59");
+  return h.hex();
 }
+
+// Full-width 512- and 1024-bit moduli (8 and 16 limbs, the widths with
+// fixed-size kernels), one full-length and one 160-bit exponent each.
+// Recorded with the portable kernels, which are the 64-bit loops the
+// digests above were confirmed against.
+std::string modexp_kernel_widths_digest() {
+  Rng rng(0xd1ff6a);
+  ResultHash h;
+  for (const std::size_t lm : {64u, 128u, 64u, 128u}) {
+    Bytes mb = rng.bytes(lm);
+    mb.back() |= 1;
+    mb.front() |= 0x80;
+    const BigInt m = from_bytes(mb);
+    const BigInt b = from_bytes(rng.bytes(lm + 4));
+    h.add(b.mod_pow(from_bytes(rng.bytes(lm)), m));
+    h.add(b.mod_pow(from_bytes(rng.bytes(20)), m));
+  }
+  return h.hex();
+}
+
+constexpr const char* kRandomizedModexpDigest =
+    "b2866f4a47a3adccff7f6143372f69011d9f3378bebc9195a1869bf681a4f30e";
+constexpr const char* kModexp1024Digest =
+    "bc53050d4c15e3933b3efc8ae33ec5ee11663268f9296cbcc469af6bbfaf9c59";
+constexpr const char* kModexpKernelWidthsDigest =
+    "d84bbe0c7e7990b93857047f40e7abdc67546cfcf5abd4b3c33056e0c18d5013";
+
+TEST(BignumDiff, RandomizedModexpOddModulus) {
+  EXPECT_EQ(randomized_modexp_digest(), kRandomizedModexpDigest);
+}
+
+TEST(BignumDiff, Modexp1024BitVector) {
+  EXPECT_EQ(modexp_1024_digest(), kModexp1024Digest);
+}
+
+// The modexp known answers once per Montgomery kernel set.
+using BignumDiffKernels = MontKernelSet;
+
+TEST_P(BignumDiffKernels, ModexpKnownAnswers) {
+  EXPECT_EQ(randomized_modexp_digest(), kRandomizedModexpDigest);
+  EXPECT_EQ(modexp_1024_digest(), kModexp1024Digest);
+  EXPECT_EQ(modexp_kernel_widths_digest(), kModexpKernelWidthsDigest);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, BignumDiffKernels,
+                         ::testing::Values(false, true), mont_kernel_set_name);
 
 // --- adversarial edge vectors ---------------------------------------------
 
