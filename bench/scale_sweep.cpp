@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,7 +55,6 @@ struct Options {
   int messages = 40;
   int senders = 3;
   int reps = 3;
-  int rounds = 1;  // fallbacks timed back to back in each rep
   std::uint64_t seed = 1;
   int rsa_bits = 512;
   double deadline_ms = 1e9;
@@ -76,7 +74,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--messages") o.messages = std::stoi(value());
     else if (arg == "--senders") o.senders = std::stoi(value());
     else if (arg == "--reps") o.reps = std::stoi(value());
-    else if (arg == "--rounds") o.rounds = std::stoi(value());
     else if (arg == "--seed") o.seed = std::stoull(value());
     else if (arg == "--rsa-bits") o.rsa_bits = std::stoi(value());
     else if (arg == "--deadline-ms") o.deadline_ms = std::stod(value());
@@ -86,9 +83,6 @@ Options parse(int argc, char** argv) {
     throw std::runtime_error("pass exactly one of --sweep / --fallback-gate");
   }
   if (o.reps < 1) throw std::runtime_error("--reps must be at least 1");
-  if (o.rounds < 1 || o.rounds > 64) {
-    throw std::runtime_error("--rounds must be in [1, 64]");
-  }
   return o;
 }
 
@@ -191,49 +185,36 @@ int run_sweep(const Options& o) {
   return completed ? 0 : 1;
 }
 
-/// Times `rounds` checked combines, back to back, each facing one
-/// Byzantine share, and returns the mean ms per combine.  Each uses a
-/// fresh combiner handle (the fallback blacklists, so handles are
-/// single-use here), warmed so comb-table builds happen outside the
-/// timed region; each then runs the combine → failed check → per-share
-/// fallback → retry sequence.  Several rounds per rep make a rep long
-/// enough that one scheduler hiccup does not decide it.
+/// Times one checked combine facing one Byzantine share: a fresh combiner
+/// handle (the fallback blacklists, so handles are single-use here),
+/// warmed so comb-table builds happen outside the timed region, then the
+/// combine → failed check → per-share fallback → retry sequence.
 double time_fallback_ms(const crypto::RsaThresholdDeal& deal, BytesView msg,
                         const std::vector<std::pair<int, Bytes>>& shares,
-                        crypto::WorkPool* pool, int rounds) {
-  std::vector<std::unique_ptr<crypto::RsaThresholdScheme>> combiners;
-  for (int r = 0; r < rounds; ++r) {
-    combiners.push_back(deal.make_party(0));
-    // Warm: verifying each signer's genuine share builds the per-signer
-    // comb tables so the timed region measures verification, not table
-    // builds.
-    for (const auto& [signer, share] : shares) {
-      if (!combiners.back()->verify_share(msg, signer, share)) {
-        throw std::runtime_error("genuine share failed warm-up verification");
-      }
+                        crypto::WorkPool* pool) {
+  const std::unique_ptr<crypto::RsaThresholdScheme> combiner =
+      deal.make_party(0);
+  // Warm: verifying each signer's genuine share builds the per-signer comb
+  // tables so the timed region measures verification, not table builds.
+  for (const auto& [signer, share] : shares) {
+    if (!combiner->verify_share(msg, signer, share)) {
+      throw std::runtime_error("genuine share failed warm-up verification");
     }
   }
   // Shares as combined: signer 0 presents signer k's share bytes — parses
   // fine, verifies false — so the combine-first check fails and the
   // fallback individually verifies the k chosen shares.
   std::vector<std::pair<int, Bytes>> byzantine = shares;
-  byzantine[0].second =
-      shares[static_cast<std::size_t>(combiners.front()->k())].second;
+  byzantine[0].second = shares[static_cast<std::size_t>(combiner->k())].second;
 
-  std::vector<std::optional<crypto::ThresholdSigScheme::CheckedSignature>>
-      sigs;
   const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& combiner : combiners) {
-    sigs.push_back(combiner->combine_checked(msg, byzantine, pool));
+  const auto sig = combiner->combine_checked(msg, byzantine, pool);
+  const double ms = wall_ms_since(t0);
+  if (!sig.has_value() || !combiner->verify(msg, sig->sig)) {
+    throw std::runtime_error("checked combine failed to recover");
   }
-  const double ms = wall_ms_since(t0) / rounds;
-  for (std::size_t r = 0; r < combiners.size(); ++r) {
-    if (!sigs[r].has_value() || !combiners[r]->verify(msg, sigs[r]->sig)) {
-      throw std::runtime_error("checked combine failed to recover");
-    }
-    if (!combiners[r]->is_blacklisted(0)) {
-      throw std::runtime_error("Byzantine submitter was not blacklisted");
-    }
+  if (!combiner->is_blacklisted(0)) {
+    throw std::runtime_error("Byzantine submitter was not blacklisted");
   }
   return ms;
 }
@@ -261,9 +242,8 @@ int run_fallback_gate(const Options& o) {
   std::vector<double> parallel_reps;
   for (int r = 0; r < o.reps; ++r) {
     serial_reps.push_back(time_fallback_ms(deal, msg, shares,
-                                           /*pool=*/nullptr, o.rounds));
-    parallel_reps.push_back(
-        time_fallback_ms(deal, msg, shares, &pool, o.rounds));
+                                           /*pool=*/nullptr));
+    parallel_reps.push_back(time_fallback_ms(deal, msg, shares, &pool));
   }
   const double serial_ms =
       *std::min_element(serial_reps.begin(), serial_reps.end());
@@ -282,11 +262,10 @@ int run_fallback_gate(const Options& o) {
   };
   std::printf(
       "{\"mode\":\"fallback_gate\",\"n\":%d,\"t\":%d,\"k\":%d,"
-      "\"rsa_bits\":%d,\"reps\":%d,\"rounds\":%d,\"threads\":%zu,"
+      "\"rsa_bits\":%d,\"reps\":%d,\"threads\":%zu,"
       "\"serial_ms\":%.3f,\"parallel_ms\":%.3f,\"speedup\":%.2f,"
       "\"serial_ms_reps\":%s,\"parallel_ms_reps\":%s}\n",
-      o.n, t, k, o.rsa_bits, o.reps, o.rounds, threads, serial_ms,
-      parallel_ms,
+      o.n, t, k, o.rsa_bits, o.reps, threads, serial_ms, parallel_ms,
       speedup, json_list(serial_reps).c_str(),
       json_list(parallel_reps).c_str());
   return 0;

@@ -58,10 +58,7 @@ for spec in 4:40 7:32 10:24 16:16 31:8; do
 done
 
 echo "# scale: fallback gate n=16" >&2
-# Each rep times 4 fallbacks back to back, so one rep lasts several ms
-# even with the fast Montgomery kernels and a single scheduler hiccup
-# cannot decide it.
-"$bench" --fallback-gate --n 16 --reps 3 --rounds 4 >>"$raw"
+"$bench" --fallback-gate --n 16 --reps 3 >>"$raw"
 
 # Real-cluster datapoint: identical n=7 workload, batched vs unbatched
 # syscalls.  Wall time is recorded but the cross-run comparison is the
@@ -159,8 +156,6 @@ gate = {
     # whether one path ran through a slow host phase.
     "serial_ms_reps": fallback["serial_ms_reps"],
     "parallel_ms_reps": fallback["parallel_ms_reps"],
-    # Fallbacks timed per rep; each rep is their mean.
-    "rounds_per_rep": fallback["rounds"],
     "threads": threads,
     "cluster_syscall_reduction": syscall_reduction,
     "pass": measured >= 2.0,

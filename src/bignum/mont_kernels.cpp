@@ -1,5 +1,6 @@
 // Montgomery kernels: the portable `unsigned __int128` loops for every
-// width, and fully unrolled MULX/ADCX/ADOX kernels for 8 and 16 limbs.
+// width, and fully unrolled MULX/ADCX/ADOX kernels for 8 and 16 limbs
+// (multiply at both widths, squaring at 16; 8-limb squaring multiplies).
 //
 // The accelerated kernels keep the running sum t in memory and walk it
 // one row at a time.  Each row is one asm statement whose columns are
@@ -386,59 +387,48 @@ SINTRA_MONT_TARGET void mul_adx(Limb* out, const Limb* a, const Limb* b,
   finish<N>(out, t, tn, m);
 }
 
+// An 8-limb squaring kernel (triangle, diagonal pass, reduction) ran no
+// faster than mul_adx<8> with a = b, about 77 ns per call each: at 8 limbs
+// the triangle saves 20 of 128 mulx columns, and the extra row set-ups eat
+// that.  So the 8-limb squaring is the multiply, and only 16 limbs have a
+// squaring kernel.
+SINTRA_MONT_TARGET void sqr8_adx(Limb* out, const Limb* a, const Limb* m,
+                                 Limb m0inv) {
+  mul_adx<8>(out, a, a, m, m0inv);
+}
+
 template <std::size_t N>
 SINTRA_MONT_TARGET void sqr_adx(Limb* out, const Limb* a, const Limb* m,
                                 Limb m0inv) {
-  static_assert(N == 8 || N == 16);
+  static_assert(N == 16);
   // Double-width square in r: cross products, then doubled plus the
   // diagonal.  Only r[0..n-1] and r[2n-1] are read before a row writes
   // them, but zeroing all of r is cheaper than reasoning about it.
   Limb r[2 * N] = {};
   Limb le, he, lo, ho, z, u0, top;
-  if constexpr (N == 8) {
-    SINTRA_TRI_ROW(0, SINTRA_F8_1);
-    SINTRA_TRI_ROW(1, SINTRA_F8_2);
-    SINTRA_TRI_ROW(2, SINTRA_F8_3);
-    SINTRA_TRI_ROW(3, SINTRA_F8_4);
-    SINTRA_TRI_ROW(4, SINTRA_F8_5);
-    SINTRA_TRI_ROW(5, SINTRA_F8_6);
-    SINTRA_TRI_ROW(6, SINTRA_F8_7);
-    SINTRA_DIAG_PASS(SINTRA_F8_1);
-  } else {
-    SINTRA_TRI_ROW(0, SINTRA_F16_1);
-    SINTRA_TRI_ROW(1, SINTRA_F16_2);
-    SINTRA_TRI_ROW(2, SINTRA_F16_3);
-    SINTRA_TRI_ROW(3, SINTRA_F16_4);
-    SINTRA_TRI_ROW(4, SINTRA_F16_5);
-    SINTRA_TRI_ROW(5, SINTRA_F16_6);
-    SINTRA_TRI_ROW(6, SINTRA_F16_7);
-    SINTRA_TRI_ROW(7, SINTRA_F16_8);
-    SINTRA_TRI_ROW(8, SINTRA_F16_9);
-    SINTRA_TRI_ROW(9, SINTRA_F16_10);
-    SINTRA_TRI_ROW(10, SINTRA_F16_11);
-    SINTRA_TRI_ROW(11, SINTRA_F16_12);
-    SINTRA_TRI_ROW(12, SINTRA_F16_13);
-    SINTRA_TRI_ROW(13, SINTRA_F16_14);
-    SINTRA_TRI_ROW(14, SINTRA_F16_15);
-    SINTRA_DIAG_PASS(SINTRA_F16_1);
-  }
+  SINTRA_TRI_ROW(0, SINTRA_F16_1);
+  SINTRA_TRI_ROW(1, SINTRA_F16_2);
+  SINTRA_TRI_ROW(2, SINTRA_F16_3);
+  SINTRA_TRI_ROW(3, SINTRA_F16_4);
+  SINTRA_TRI_ROW(4, SINTRA_F16_5);
+  SINTRA_TRI_ROW(5, SINTRA_F16_6);
+  SINTRA_TRI_ROW(6, SINTRA_F16_7);
+  SINTRA_TRI_ROW(7, SINTRA_F16_8);
+  SINTRA_TRI_ROW(8, SINTRA_F16_9);
+  SINTRA_TRI_ROW(9, SINTRA_F16_10);
+  SINTRA_TRI_ROW(10, SINTRA_F16_11);
+  SINTRA_TRI_ROW(11, SINTRA_F16_12);
+  SINTRA_TRI_ROW(12, SINTRA_F16_13);
+  SINTRA_TRI_ROW(13, SINTRA_F16_14);
+  SINTRA_TRI_ROW(14, SINTRA_F16_15);
+  SINTRA_DIAG_PASS(SINTRA_F16_1);
   // Montgomery-reduce the low half in place: after n rows r[0..n-1] + tn
   // is (low + q*m) / R <= m.  Adding the high half (< m) then gives the
   // REDC value, < 2m.
   Limb tn = 0;
-  for (std::size_t i = 0; i < N; ++i) {
-    if constexpr (N == 8) {
-      SINTRA_SOS_RED_STEP(SINTRA_F8_1);
-    } else {
-      SINTRA_SOS_RED_STEP(SINTRA_F16_1);
-    }
-  }
+  for (std::size_t i = 0; i < N; ++i) SINTRA_SOS_RED_STEP(SINTRA_F16_1);
   Limb x;
-  if constexpr (N == 8) {
-    SINTRA_ADD_HIGH_HALF(SINTRA_F8_1);
-  } else {
-    SINTRA_ADD_HIGH_HALF(SINTRA_F16_1);
-  }
+  SINTRA_ADD_HIGH_HALF(SINTRA_F16_1);
   finish<N>(out, r, tn, m);
 }
 
@@ -453,7 +443,7 @@ bool cpu_has_mulx_adx() {
 }  // namespace
 
 const KernelSet* adx_kernels() {
-  static const KernelSet set{"mulx_adx", &mul_adx<8>, &sqr_adx<8>,
+  static const KernelSet set{"mulx_adx", &mul_adx<8>, &sqr8_adx,
                              &mul_adx<16>, &sqr_adx<16>};
   return cpu_has_mulx_adx() ? &set : nullptr;
 }
