@@ -10,12 +10,11 @@
 //
 //   $ ./cert_authority
 //
-#include <chrono>
-#include <condition_variable>
+#include <deque>
 #include <iostream>
-#include <mutex>
+#include <map>
 
-#include "facade/blocking_api.hpp"
+#include "facade/blocking.hpp"
 
 namespace {
 
@@ -39,43 +38,33 @@ int main() {
   // certificate signature is a *standard* RSA signature (§2.1).
   config.sig_impl = crypto::SigImpl::kThresholdRsa;
   const crypto::Deal deal = crypto::run_dealer(config);
-  facade::LocalGroup group(deal);
+  sim::Simulator sim(sim::lan_setup(), deal);
 
-  std::vector<std::unique_ptr<facade::BlockingAtomicChannel>> channel;
-  for (int i = 0; i < group.n(); ++i) {
-    channel.push_back(std::make_unique<facade::BlockingAtomicChannel>(
-        group, i, "ca"));
-  }
+  std::deque<facade::BlockingAtomicChannel> channel;
+  for (int i = 0; i < sim.n(); ++i) channel.emplace_back(sim, i, "ca");
 
   // Clients submit certificate requests at different replicas.
-  channel[1]->send(to_bytes("alice@example.com"));
-  channel[2]->send(to_bytes("bob@example.org"));
+  channel[1].send(to_bytes("alice@example.com"));
+  channel[2].send(to_bytes("bob@example.org"));
 
   // Every replica processes the ordered requests identically: assign the
   // serial number by position, sign a share of the certificate.
   const int kRequests = 2;
-  std::mutex mu;
   std::map<std::uint64_t, std::vector<std::pair<int, Bytes>>> shares;
   std::map<std::uint64_t, std::string> texts;
 
-  for (int i = 0; i < group.n(); ++i) {
+  for (int i = 0; i < sim.n(); ++i) {
     for (std::uint64_t serial = 0; serial < kRequests; ++serial) {
-      auto req = channel[static_cast<std::size_t>(i)]->receive_for(
-          std::chrono::seconds(30));
+      auto req = channel[static_cast<std::size_t>(i)].receive();
       if (!req) {
-        std::cerr << "timeout\n";
+        std::cerr << "no certificate request delivered\n";
         return 1;
       }
       const std::string cert = certificate_text(serial, to_string(*req));
-      // Each replica contributes its signature share (on its own thread,
-      // where its key material lives).
-      group.post_sync(i, [&, i, serial, cert] {
-        Bytes share = group.node(i).keys().sig_broadcast->sign_share(
-            to_bytes(cert));
-        const std::lock_guard<std::mutex> lock(mu);
-        shares[serial].emplace_back(i, std::move(share));
-        texts[serial] = cert;
-      });
+      // Each replica contributes its signature share with its own key.
+      shares[serial].emplace_back(
+          i, sim.node(i).keys().sig_broadcast->sign_share(to_bytes(cert)));
+      texts[serial] = cert;
     }
   }
 

@@ -9,12 +9,12 @@
 //
 //   $ ./kv_store
 //
-#include <chrono>
+#include <deque>
 #include <iostream>
 #include <map>
 #include <sstream>
 
-#include "facade/blocking_api.hpp"
+#include "facade/blocking.hpp"
 
 namespace {
 
@@ -64,13 +64,10 @@ int main() {
   config.dl_p_bits = 256;
   config.dl_q_bits = 96;
   const crypto::Deal deal = crypto::run_dealer(config);
-  facade::LocalGroup group(deal);
+  sim::Simulator sim(sim::lan_setup(), deal);
 
-  std::vector<std::unique_ptr<facade::BlockingAtomicChannel>> channel;
-  for (int i = 0; i < group.n(); ++i) {
-    channel.push_back(std::make_unique<facade::BlockingAtomicChannel>(
-        group, i, "kv"));
-  }
+  std::deque<facade::BlockingAtomicChannel> channel;
+  for (int i = 0; i < sim.n(); ++i) channel.emplace_back(sim, i, "kv");
 
   // Commands submitted concurrently at different replicas — including
   // conflicting writes to the same key, which total order resolves
@@ -81,23 +78,24 @@ int main() {
       {1, "SET audit last-writer-one"}, {2, "SET audit last-writer-two"},
   };
   for (const auto& [replica, cmd] : workload) {
-    channel[static_cast<std::size_t>(replica)]->send(to_bytes(cmd));
+    channel[static_cast<std::size_t>(replica)].send(to_bytes(cmd));
   }
-
-  // Replica 3 crashes mid-run: with n=4, t=1 the service must not notice.
-  group.crash(3);
-  std::cout << "replica 3 crashed; continuing with 3 of 4\n";
 
   std::vector<KvStateMachine> machines(3);
   for (int i = 0; i < 3; ++i) {
     for (std::size_t m = 0; m < workload.size(); ++m) {
-      auto cmd = channel[static_cast<std::size_t>(i)]->receive_for(
-          std::chrono::seconds(60));
+      auto cmd = channel[static_cast<std::size_t>(i)].receive();
       if (!cmd) {
-        std::cerr << "timeout: replica " << i << " at command " << m << "\n";
+        std::cerr << "stalled: replica " << i << " at command " << m << "\n";
         return 1;
       }
       machines[static_cast<std::size_t>(i)].apply(to_string(*cmd));
+      // Replica 3 crashes once the first command is ordered: with n=4,
+      // t=1 the service must not notice.
+      if (i == 0 && m == 0) {
+        sim.node(3).crash();
+        std::cout << "replica 3 crashed; continuing with 3 of 4\n";
+      }
     }
   }
 

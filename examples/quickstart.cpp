@@ -7,10 +7,10 @@
 //
 //   $ ./quickstart
 //
-#include <chrono>
+#include <deque>
 #include <iostream>
 
-#include "facade/blocking_api.hpp"
+#include "facade/blocking.hpp"
 
 int main() {
   using namespace sintra;
@@ -24,40 +24,48 @@ int main() {
   config.dl_q_bits = 96;
   const crypto::Deal deal = crypto::run_dealer(config);
 
-  // 2. Boot the replicas (one thread each, authenticated links).
-  facade::LocalGroup group(deal);
+  // 2. Boot the replicas on the simulated paper LAN (authenticated
+  //    links, virtual time, deterministic).
+  sim::Simulator sim(sim::lan_setup(), deal);
 
   // 3. Open the atomic broadcast channel on every replica.
-  std::vector<std::unique_ptr<facade::BlockingAtomicChannel>> channel;
-  for (int i = 0; i < group.n(); ++i) {
-    channel.push_back(std::make_unique<facade::BlockingAtomicChannel>(
-        group, i, "quickstart"));
-  }
+  std::deque<facade::BlockingAtomicChannel> channel;
+  for (int i = 0; i < sim.n(); ++i) channel.emplace_back(sim, i, "quickstart");
 
   // 4. Two replicas broadcast commands concurrently.
-  channel[0]->send(to_bytes("credit alice 100"));
-  channel[1]->send(to_bytes("debit bob 40"));
-  channel[0]->send(to_bytes("credit carol 7"));
+  channel[0].send(to_bytes("credit alice 100"));
+  channel[1].send(to_bytes("debit bob 40"));
+  channel[0].send(to_bytes("credit carol 7"));
 
   // 5. Every replica receives the SAME totally-ordered command stream.
-  for (int i = 0; i < group.n(); ++i) {
+  std::vector<std::string> first_log;
+  for (int i = 0; i < sim.n(); ++i) {
+    std::vector<std::string> log;
     std::cout << "replica " << i << " applies:";
     for (int m = 0; m < 3; ++m) {
-      auto cmd = channel[static_cast<std::size_t>(i)]->receive_for(
-          std::chrono::seconds(30));
+      auto cmd = channel[static_cast<std::size_t>(i)].receive();
       if (!cmd) {
-        std::cerr << "\ntimeout waiting for delivery\n";
+        std::cerr << "\nno delivery: the group stalled\n";
         return 1;
       }
-      std::cout << "  [" << to_string(*cmd) << "]";
+      log.push_back(to_string(*cmd));
+      std::cout << "  [" << log.back() << "]";
     }
     std::cout << "\n";
+    if (i == 0) first_log = log;
+    if (log != first_log) {
+      std::cerr << "replica " << i << " diverged from replica 0\n";
+      return 1;
+    }
   }
 
   // 6. Close the channel (t+1 = 2 honest closes terminate it, §2.5).
-  channel[0]->close();
-  channel[1]->close();
-  channel[2]->close_wait();
-  std::cout << "channel closed on all replicas\n";
+  channel[0].close();
+  channel[1].close();
+  if (!channel[2].close_wait()) {
+    std::cerr << "close did not terminate the channel\n";
+    return 1;
+  }
+  std::cout << "channel closed at " << sim.now_ms() << " ms virtual time\n";
   return 0;
 }

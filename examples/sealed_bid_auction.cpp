@@ -10,10 +10,10 @@
 //
 //   $ ./sealed_bid_auction
 //
-#include <chrono>
+#include <deque>
 #include <iostream>
 
-#include "facade/blocking_api.hpp"
+#include "facade/blocking.hpp"
 
 int main() {
   using namespace sintra;
@@ -25,13 +25,10 @@ int main() {
   config.dl_p_bits = 256;
   config.dl_q_bits = 96;
   const crypto::Deal deal = crypto::run_dealer(config);
-  facade::LocalGroup group(deal);
+  sim::Simulator sim(sim::lan_setup(), deal);
 
-  std::vector<std::unique_ptr<facade::BlockingSecureAtomicChannel>> channel;
-  for (int i = 0; i < group.n(); ++i) {
-    channel.push_back(std::make_unique<facade::BlockingSecureAtomicChannel>(
-        group, i, "auction"));
-  }
+  std::deque<facade::BlockingSecureAtomicChannel> channel;
+  for (int i = 0; i < sim.n(); ++i) channel.emplace_back(sim, i, "auction");
 
   // Bidders are EXTERNAL clients: they hold only the channel's public key
   // (paper §3.4) and hand sealed ciphertexts to replicas for broadcast.
@@ -57,27 +54,26 @@ int main() {
             << "-byte ciphertexts, cleartext hidden until ordered)\n";
 
   // Different replicas relay the sealed bids without seeing their content.
-  channel[0]->with([&](core::SecureAtomicChannel& ch) {
+  channel[0].input([&](core::SecureAtomicChannel& ch) {
     ch.send_ciphertext(alice_ct);
   });
-  channel[1]->with([&](core::SecureAtomicChannel& ch) {
+  channel[1].input([&](core::SecureAtomicChannel& ch) {
     ch.send_ciphertext(bob_ct);
   });
-  channel[2]->with([&](core::SecureAtomicChannel& ch) {
+  channel[2].input([&](core::SecureAtomicChannel& ch) {
     ch.send_ciphertext(carol_ct);
   });
 
   // Every replica opens the bids in the SAME (now fixed) order and
   // computes the same winner.
-  for (int i = 0; i < group.n(); ++i) {
+  for (int i = 0; i < sim.n(); ++i) {
     std::string winner;
     int best = -1;
     std::cout << "replica " << i << " opens:";
     for (int b = 0; b < 3; ++b) {
-      auto bid = channel[static_cast<std::size_t>(i)]->receive_for(
-          std::chrono::seconds(60));
+      auto bid = channel[static_cast<std::size_t>(i)].receive();
       if (!bid) {
-        std::cerr << "\ntimeout\n";
+        std::cerr << "\nno bid delivered\n";
         return 1;
       }
       const std::string s = to_string(*bid);

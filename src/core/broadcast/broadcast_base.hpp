@@ -24,7 +24,7 @@ class BroadcastBase {
   virtual void send_broadcast(BytesView payload) = 0;
 
   /// The delivered payload, once accepted (the blocking receive() of the
-  /// Java API is provided by the facade layer).
+  /// Java API is facade::BlockingBroadcast, facade/blocking.hpp).
   [[nodiscard]] virtual const std::optional<Bytes>& broadcast_delivered()
       const = 0;
 

@@ -3,8 +3,8 @@
 // discrete-event simulator's scheduler.
 //
 // All protocol objects attached to a loop are touched only from the loop
-// thread (the same ownership discipline as facade::LocalNode); post() is
-// the one thread-safe entry point.  Timers drive nothing but the link
+// thread (as in the simulator, which runs every party on one thread);
+// post() is the one thread-safe entry point.  Timers drive nothing but the link
 // layer's retransmissions — per the paper's model, no protocol decision
 // above the links depends on time.
 #pragma once

@@ -15,7 +15,6 @@
 #include "crypto/rsa.hpp"
 #include "crypto/verify_memo.hpp"
 #include "crypto/work_pool.hpp"
-#include "facade/local_transport.hpp"
 #include "obs/metrics.hpp"
 #include "sim_fixture.hpp"
 
@@ -170,25 +169,6 @@ TEST(VerifyMemo, EnvironmentsBuiltFromOneDealShareNoHits) {
   EXPECT_EQ(a.node(0).verify_memo().size(), 1u);
   EXPECT_EQ(b.node(0).verify_memo().size(), 1u);
   EXPECT_EQ(a.node(1).verify_memo().size(), 0u);
-
-  // Two threaded groups: each party thread verifies under its own memo.
-  std::uint64_t work_g1 = 0, work_g2 = 0;
-  facade::LocalGroup g1(deal);
-  facade::LocalGroup g2(deal);
-  g1.post_sync(0, [&] {
-    work_g1 = work_of([&] {
-      EXPECT_TRUE(g1.node(0).keys().verify_party_sig(1, msg, sig));
-    });
-  });
-  g2.post_sync(0, [&] {
-    work_g2 = work_of([&] {
-      EXPECT_TRUE(g2.node(0).keys().verify_party_sig(1, msg, sig));
-    });
-  });
-  EXPECT_GT(work_g1, 0u);
-  EXPECT_EQ(work_g2, work_g1);
-  EXPECT_EQ(g1.node(0).verify_memo().size(), 1u);
-  EXPECT_EQ(g2.node(0).verify_memo().size(), 1u);
 }
 
 TEST(VerifyMemo, RestartedSimNodeStartsEmpty) {
