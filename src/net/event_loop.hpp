@@ -4,9 +4,9 @@
 //
 // All protocol objects attached to a loop are touched only from the loop
 // thread (as in the simulator, which runs every party on one thread);
-// post() is the one thread-safe entry point.  Timers drive nothing but the link
-// layer's retransmissions — per the paper's model, no protocol decision
-// above the links depends on time.
+// post() is the one thread-safe entry point.  Timers drive nothing but the
+// link layer's retransmissions — per the paper's model, no protocol
+// decision above the links depends on time.
 #pragma once
 
 #include <atomic>
